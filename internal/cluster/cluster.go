@@ -16,10 +16,8 @@ import (
 	"log/slog"
 
 	"repro/internal/harness"
-	"repro/internal/proc"
 	"repro/internal/service"
 	"repro/internal/telemetry"
-	"repro/internal/workload"
 )
 
 // Options configures a Cluster. The zero value selects sane defaults.
@@ -486,39 +484,10 @@ func (cl *Cluster) backoff(ctx context.Context, attempt int) error {
 
 // Reference builds the Section 2.6 normalization table from cluster
 // measurements — bit-identical to a local harness.Reference() at the
-// same seed, because both feed BuildReference the same measurements in
-// the same order.
+// same seed, because both build it through harness.ReferenceFrom over
+// bit-identical measurements.
 func (cl *Cluster) Reference(ctx context.Context, workers int) (*harness.Reference, error) {
-	return referenceVia(ctx, cl, workers)
-}
-
-// referenceVia builds the normalization table through any remote
-// measurer (the rendezvous cluster or the work-stealing scheduler); the
-// accumulation is keyed by cell identity, so it is independent of which
-// backend measured what and in what order results arrived.
-func referenceVia(ctx context.Context, src interface {
-	MeasureBatch(context.Context, []harness.Job, int) ([]*harness.Measurement, error)
-}, workers int) (*harness.Reference, error) {
-	refs, err := harness.ReferenceCells()
-	if err != nil {
-		return nil, err
-	}
-	jobs := harness.GridJobs(refs, nil)
-	ms, err := src.MeasureBatch(ctx, jobs, workers)
-	if err != nil {
-		return nil, err
-	}
-	byCell := make(map[string]*harness.Measurement, len(ms))
-	for i, m := range ms {
-		byCell[jobs[i].Bench.Name+"|"+jobs[i].CP.String()] = m
-	}
-	return harness.BuildReference(func(b *workload.Benchmark, cp proc.ConfiguredProcessor) (*harness.Measurement, error) {
-		m, ok := byCell[b.Name+"|"+cp.String()]
-		if !ok {
-			return nil, fmt.Errorf("cluster: %s on %s missing from reference batch", b.Name, cp)
-		}
-		return m, nil
-	})
+	return harness.ReferenceFrom(ctx, cl, workers)
 }
 
 // ProbeHealth hits every backend's /healthz once and feeds the

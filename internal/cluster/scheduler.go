@@ -591,9 +591,9 @@ func (s *Scheduler) streamLease(ctx context.Context, c *Client, r *run, l *lease
 
 // Reference builds the Section 2.6 normalization table from scheduled
 // measurements — bit-identical to a local harness.Reference() at the
-// same seed, because both feed BuildReference the same measurements.
+// same seed, because both build it through harness.ReferenceFrom.
 func (s *Scheduler) Reference(ctx context.Context, workers int) (*harness.Reference, error) {
-	return referenceVia(ctx, s, workers)
+	return harness.ReferenceFrom(ctx, s, workers)
 }
 
 // ProbeHealth hits every backend's /healthz once and feeds the

@@ -111,7 +111,8 @@ func (c *Client) MeasureStream(ctx context.Context, req *service.MeasureRequest,
 					Msg: fmt.Sprintf("stream done after %d cells, want %d", delivered, len(req.Cells))}
 			}
 			return nil
-		// Header and keep-alive lines carry no cells; skip them.
+		default:
+			// Header and keep-alive lines carry no cells; skip them.
 		}
 	}
 }

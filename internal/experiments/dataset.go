@@ -35,9 +35,7 @@ func fmtG(v float64) string { return fmt.Sprintf("%.6g", v) }
 // it over HTTP. The determinism contract makes the two interchangeable —
 // both return bit-identical measurements for the same cells, so the
 // streamed CSVs are byte-identical regardless of the source.
-type Source interface {
-	MeasureBatch(ctx context.Context, jobs []harness.Job, workers int) ([]*harness.Measurement, error)
-}
+type Source = harness.BatchSource
 
 // StreamMeasurementsCSV measures the cross product of cps and all 61
 // benchmarks and streams measurements.csv rows to w as configurations

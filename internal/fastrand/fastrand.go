@@ -155,13 +155,26 @@ func (s *Source) Seed(seed int64) {
 }
 
 // word computes seeded register word i: the three Lehmer positions packed
-// into 63 bits, XOR the stdlib's cooked constant.
+// into 63 bits, XOR the stdlib's cooked constant. Only the first
+// position needs the pow table; the next two are one Lehmer step each,
+// and a step's product x*48271 < 2^47 reduces with a single fold.
 func (s *Source) word(i int) int64 {
-	j := 3*i + 21
-	u := lehmerAt(j, s.x0) << 40
-	u ^= lehmerAt(j+1, s.x0) << 20
-	u ^= lehmerAt(j+2, s.x0)
-	return u ^ cooked[i]
+	x := mulmod31(pow[3*i+20], s.x0)
+	y := lehmerStep(x)
+	z := lehmerStep(y)
+	return int64(x<<40^y<<20^z) ^ cooked[i]
+}
+
+// lehmerStep advances the seed chain one position: x*48271 mod (2^31-1)
+// for x < 2^31-1. The product is under 2^47, so one shift-add fold
+// brings it below 2^31+2^16 and one conditional subtract finishes.
+func lehmerStep(x uint64) uint64 {
+	v := x * lehmerA
+	v = (v >> 31) + (v & int32max)
+	if v >= int32max {
+		v -= int32max
+	}
+	return v
 }
 
 // Uint64 advances the lagged-Fibonacci register one step.
@@ -194,6 +207,17 @@ func (s *Source) Uint64() uint64 {
 // Int63 returns the low 63 bits of the next step.
 func (s *Source) Int63() int64 {
 	return int64(s.Uint64() & rngMask)
+}
+
+// Float64 returns a draw in [0, 1), bit-identical to rand.Rand.Float64
+// over the same stream (including its resample of the rare 1.0).
+func (s *Source) Float64() float64 {
+	for {
+		f := float64(s.Int63()) / (1 << 63)
+		if f < 1 {
+			return f
+		}
+	}
 }
 
 // New returns a rand.Rand over a fast source, equivalent to

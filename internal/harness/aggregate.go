@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -23,9 +24,16 @@ type Reference struct {
 // measurements by the determinism contract.
 type MeasureFunc func(b *workload.Benchmark, cp proc.ConfiguredProcessor) (*Measurement, error)
 
-// ReferenceCells lists the (benchmark, reference processor) grid the
-// normalization table is built from, in the order BuildReference
-// consumes it.
+// BatchSource measures a batch of jobs and returns the measurements in
+// job order: the harness itself, the remote coordinators, and a stored
+// dataset all satisfy it, and the determinism contract makes their
+// results bit-identical.
+type BatchSource interface {
+	MeasureBatch(ctx context.Context, jobs []Job, workers int) ([]*Measurement, error)
+}
+
+// ReferenceCells lists the reference processors the normalization table
+// is built from, in the order ReferenceFrom accumulates them.
 func ReferenceCells() ([]proc.ConfiguredProcessor, error) {
 	refs := make([]proc.ConfiguredProcessor, 0, 4)
 	for _, name := range proc.ReferenceNames() {
@@ -38,29 +46,41 @@ func ReferenceCells() ([]proc.ConfiguredProcessor, error) {
 	return refs, nil
 }
 
-// BuildReference builds the Section 2.6 normalization table from any
-// measurement source. The accumulation order is fixed (benchmarks outer,
-// reference processors in ReferenceNames order inner), so every source
-// that returns bit-identical measurements produces a bit-identical
-// table.
-func BuildReference(measure MeasureFunc) (*Reference, error) {
+// ReferenceFrom builds the Section 2.6 normalization table from any
+// batch source: it measures every benchmark on the reference
+// processors in one batch (workers as MeasureBatch takes it), then
+// accumulates in a fixed order — benchmarks outer, reference processors
+// in ReferenceNames order inner — so every source that returns
+// bit-identical measurements produces a bit-identical table.
+func ReferenceFrom(ctx context.Context, src BatchSource, workers int) (*Reference, error) {
 	refs, err := ReferenceCells()
 	if err != nil {
 		return nil, err
 	}
-	out := &Reference{
-		Seconds: make(map[string]float64, 61),
-		EnergyJ: make(map[string]float64, 61),
+	benches := workload.All()
+	jobs := GridJobs(refs, benches)
+	ms, err := src.MeasureBatch(ctx, jobs, workers)
+	if err != nil {
+		return nil, err
 	}
-	for _, b := range workload.All() {
-		var times, watts []float64
-		for _, cp := range refs {
-			m, err := measure(b, cp)
-			if err != nil {
-				return nil, err
+	if len(ms) != len(jobs) {
+		return nil, fmt.Errorf("harness: reference batch returned %d of %d cells", len(ms), len(jobs))
+	}
+	out := &Reference{
+		Seconds: make(map[string]float64, len(benches)),
+		EnergyJ: make(map[string]float64, len(benches)),
+	}
+	times := make([]float64, len(refs))
+	watts := make([]float64, len(refs))
+	for bi, b := range benches {
+		// GridJobs is configuration-major: reference processor ci's
+		// measurement of benchmark bi sits at ci*len(benches)+bi.
+		for ci := range refs {
+			m := ms[ci*len(benches)+bi]
+			if m == nil {
+				return nil, fmt.Errorf("harness: %s on %s missing from reference batch", b.Name, refs[ci])
 			}
-			times = append(times, m.Seconds)
-			watts = append(watts, m.Watts)
+			times[ci], watts[ci] = m.Seconds, m.Watts
 		}
 		t := stats.Mean(times)
 		out.Seconds[b.Name] = t
@@ -70,10 +90,10 @@ func BuildReference(measure MeasureFunc) (*Reference, error) {
 }
 
 // Reference measures all 61 benchmarks on the four stock reference
-// processors and builds the normalization table. The harness cache makes
-// repeated calls cheap.
+// processors, in parallel across GOMAXPROCS workers, and builds the
+// normalization table. The harness cache makes repeated calls cheap.
 func (h *Harness) Reference() (*Reference, error) {
-	return BuildReference(h.Measure)
+	return ReferenceFrom(context.Background(), h, 0)
 }
 
 // Normalized is one benchmark's reference-normalized result.

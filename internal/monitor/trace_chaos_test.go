@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"math"
 	"net/http/httptest"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -21,25 +23,82 @@ import (
 	"repro/internal/traceanalytics"
 )
 
-// TestCriticalPathUnderChaos is the PR's acceptance scenario: a
-// scheduled (work-stealing) seed-42 study over three backends — one a
-// 10x straggler, one killed mid-run — with the fleet monitor's trace
-// analytics armed throughout. The monitor must assemble complete
-// cross-backend waterfalls from the per-process span harvests, the
-// critical path must attribute nonzero wall time to the steal
-// re-dispatch that absorbed the death, per-stage self-times must sum
-// to each trace's wall time within 1%, and the study's CSVs must stay
-// byte-identical to a local serial run — observation and chaos both
-// invisible under the determinism contract.
+// TestCriticalPathUnderChaos is the acceptance scenario for fleet trace
+// analytics: a scheduled (work-stealing) seed-42 study over three
+// backends — one a 10x straggler, one killed while it holds the study's
+// final lease — with the fleet monitor's trace analytics armed
+// throughout. The monitor must assemble complete cross-backend
+// waterfalls from the per-process span harvests, the critical path must
+// attribute nonzero wall time to the re-dispatch that absorbed the
+// death, per-stage self-times must sum to each trace's wall time within
+// 1%, and the study's CSVs must stay byte-identical to a local serial
+// run — observation and chaos both invisible under the determinism
+// contract.
+//
+// The critical path runs through whichever lease finishes last, so the
+// hooks order the tail by construction rather than by timing: the
+// final lease is refused by the two survivors until the victim has died
+// holding it, and the victim dies only once every other cell of the
+// study has entered its computation. The re-dispatch of the final
+// lease — all of its cells still unmeasured — is then the last lease
+// to finish.
 func TestCriticalPathUnderChaos(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second chaos scenario; skipped in -short")
 	}
 
+	const leaseCells = 8
+	cps := proc.StockConfigs()[:6]
+	jobs := harness.GridJobs(cps, nil)
+	cellKey := func(bench, processor string) string { return bench + "|" + processor }
+	finalLease := map[string]bool{}
+	for _, j := range jobs[(len(jobs)-1)/leaseCells*leaseCells:] {
+		finalLease[cellKey(j.Bench.Name, j.CP.Proc.Name)] = true
+	}
+
+	// started records every non-final cell that has entered a
+	// computation on some backend; othersStarted closes when all have.
+	var startedMu sync.Mutex
+	started := map[string]bool{}
+	othersStarted := make(chan struct{})
+	markStarted := func(bench, processor string) {
+		k := cellKey(bench, processor)
+		if finalLease[k] {
+			return
+		}
+		startedMu.Lock()
+		defer startedMu.Unlock()
+		if !started[k] {
+			started[k] = true
+			if len(started) == len(jobs)-len(finalLease) {
+				close(othersStarted)
+			}
+		}
+	}
+	// Survivors refuse final-lease cells (a transient stream error, so
+	// the lease is released and re-issued) until the victim is dead.
+	victimDead := make(chan struct{})
+	refuseFinal := func(bench, processor string) error {
+		if !finalLease[cellKey(bench, processor)] {
+			return nil
+		}
+		select {
+		case <-victimDead:
+			return nil
+		default:
+			return errors.New("final lease is reserved for the victim")
+		}
+	}
+	stop := make(chan struct{}) // releases a waiting victim hook on exit
+
 	// Backend 0: the straggler. Every cache fill sleeps ~10x a typical
 	// fill, so the work-stealing division of labor shifts around it.
-	hooks0 := &service.Hooks{BeforeMeasure: func(int64, string, string) error {
+	hooks0 := &service.Hooks{BeforeMeasure: func(_ int64, bench, processor string) error {
+		if err := refuseFinal(bench, processor); err != nil {
+			return err
+		}
 		time.Sleep(2 * time.Millisecond)
+		markStarted(bench, processor)
 		return nil
 	}}
 	srv0 := service.NewServer(service.Options{Seed: 42, Hooks: hooks0})
@@ -48,24 +107,44 @@ func TestCriticalPathUnderChaos(t *testing.T) {
 	defer ts0.Close()
 
 	// Backend 1: healthy.
-	srv1 := service.NewServer(service.Options{Seed: 42})
+	hooks1 := &service.Hooks{BeforeMeasure: func(_ int64, bench, processor string) error {
+		if err := refuseFinal(bench, processor); err != nil {
+			return err
+		}
+		markStarted(bench, processor)
+		return nil
+	}}
+	srv1 := service.NewServer(service.Options{Seed: 42, Hooks: hooks1})
 	defer srv1.Drain()
 	ts1 := httptest.NewServer(srv1.Handler())
 	defer ts1.Close()
 
-	// Backend 2: the victim, killed mid-study after its 30th cache fill.
-	// The scheduler reaches it through a chaos proxy (so the kill severs
-	// the scheduler's streams) while the monitor scrapes the backend
-	// directly (so the victim's span retention stays harvestable, the
-	// way a sidecar monitor outlives a torn-down route).
+	// Backend 2: the victim, killed on its first final-lease cell once
+	// the rest of the study is under way. The scheduler reaches it
+	// through a chaos proxy (so the kill severs the scheduler's streams)
+	// while the monitor scrapes the backend directly (so the victim's
+	// span retention stays harvestable, the way a sidecar monitor
+	// outlives a torn-down route).
 	var proxy2 *chaoshttp.Proxy
 	var pts2 *httptest.Server
 	var victimFills atomic.Int64
-	hooks2 := &service.Hooks{BeforeMeasure: func(int64, string, string) error {
-		if victimFills.Add(1) == 30 {
+	var kill sync.Once
+	hooks2 := &service.Hooks{BeforeMeasure: func(_ int64, bench, processor string) error {
+		victimFills.Add(1)
+		if !finalLease[cellKey(bench, processor)] {
+			markStarted(bench, processor)
+			return nil
+		}
+		select {
+		case <-othersStarted:
+		case <-stop:
+			return errors.New("test finished")
+		}
+		kill.Do(func() {
 			proxy2.Kill()
 			pts2.CloseClientConnections()
-		}
+			close(victimDead)
+		})
 		return nil
 	}}
 	srv2 := service.NewServer(service.Options{Seed: 42, Hooks: hooks2})
@@ -75,6 +154,7 @@ func TestCriticalPathUnderChaos(t *testing.T) {
 	proxy2 = chaoshttp.New(ts2.URL, chaoshttp.Options{Seed: 2})
 	pts2 = httptest.NewServer(proxy2)
 	defer pts2.Close()
+	defer close(stop)
 
 	// The monitor watches all three backends directly, analytics armed
 	// and sweeping (trace harvests included, on the sweep throttle)
@@ -91,7 +171,7 @@ func TestCriticalPathUnderChaos(t *testing.T) {
 
 	sched, err := cluster.NewScheduler([]string{ts0.URL, ts1.URL, pts2.URL}, cluster.SchedulerOptions{
 		Seed:             seedPtr(42),
-		LeaseCells:       8,
+		LeaseCells:       leaseCells,
 		LeaseExpiry:      150 * time.Millisecond,
 		BreakerThreshold: 3,
 		BreakerCooldown:  250 * time.Millisecond,
@@ -113,7 +193,6 @@ func TestCriticalPathUnderChaos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cps := proc.StockConfigs()[:6]
 	var wantM, gotM bytes.Buffer
 	if err := experiments.StreamMeasurementsCSVFrom(ctx, h, ref, cps, &wantM, 0); err != nil {
 		t.Fatal(err)

@@ -70,3 +70,56 @@ func FuzzCalibrate(f *testing.F) {
 		}
 	})
 }
+
+// roundConvert is ADC.Convert's earlier formula, int(math.Round(x))
+// clamped to [0, levels]; FuzzConvert holds the guarded form to it.
+func roundConvert(a ADC, volts float64) int {
+	levels := (1 << a.Bits) - 1
+	code := int(math.Round(volts / a.VRef * float64(levels)))
+	if code < 0 {
+		code = 0
+	}
+	if code > levels {
+		code = levels
+	}
+	return code
+}
+
+// FuzzConvert checks the guarded int(x+0.5) quantizer against the
+// math.Round formula on every input where that formula is defined: x
+// below 2^63 (above it, int(math.Round(x)) is platform-dependent — on
+// amd64 it wraps to MinInt64 and clamped to 0, the over-range bug
+// TestADCConvertSaturatesOverRange pins), NaN included. Above 2^63 the
+// code must be full scale.
+func FuzzConvert(f *testing.F) {
+	f.Add(uint8(10), 5.0, 2.5)
+	f.Add(uint8(10), 5.0, 2.5+2.5/1023) // an exact half-code step
+	f.Add(uint8(1), 1.0, 0.49999999999999994)
+	f.Add(uint8(1), 1.0, 0.5)
+	f.Add(uint8(1), 1.0, 1.5)
+	f.Add(uint8(10), 5.0, math.NaN())
+	f.Add(uint8(10), 5.0, math.Inf(1))
+	f.Add(uint8(10), 5.0, math.Inf(-1))
+	f.Add(uint8(10), 5.0, -0.0)
+	f.Add(uint8(10), 1e-300, 1.0)
+	f.Add(uint8(30), 1.0, 1<<52+0.5)
+
+	f.Fuzz(func(t *testing.T, bits uint8, vref, volts float64) {
+		a := ADC{Bits: int(bits%30) + 1, VRef: vref}
+		levels := (1 << a.Bits) - 1
+		got := a.Convert(volts)
+		if got < 0 || got > levels {
+			t.Fatalf("%+v.Convert(%v) = %d outside [0, %d]", a, volts, got, levels)
+		}
+		x := volts / a.VRef * float64(levels)
+		if x >= 1<<63 {
+			if got != levels {
+				t.Fatalf("%+v.Convert(%v) = %d, want full scale %d", a, volts, got, levels)
+			}
+			return
+		}
+		if want := roundConvert(a, volts); got != want {
+			t.Fatalf("%+v.Convert(%v) = %d, math.Round formula gives %d", a, volts, got, want)
+		}
+	})
+}

@@ -21,6 +21,28 @@ func TestADCConvertBounds(t *testing.T) {
 	}
 }
 
+// TestADCConvertSaturatesOverRange pins the full-scale reading for
+// inputs past 2^63 codes, +Inf included: they read full scale, not the
+// zero an integer-conversion overflow would clamp to.
+func TestADCConvertSaturatesOverRange(t *testing.T) {
+	adc := ADC{Bits: 10, VRef: 5.0}
+	for _, v := range []float64{math.Inf(1), math.MaxFloat64, 1e300, math.Ldexp(5.0/1023, 63)} {
+		if got := adc.Convert(v); got != 1023 {
+			t.Errorf("Convert(%v) = %d, want full scale 1023", v, got)
+		}
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(-1), -math.MaxFloat64} {
+		if got := adc.Convert(v); got != 0 {
+			t.Errorf("Convert(%v) = %d, want 0", v, got)
+		}
+	}
+	// The one nonnegative value below 2^52 where int(x+0.5) and
+	// math.Round disagree must still read 0.
+	if got := (ADC{Bits: 1, VRef: 1}).Convert(0.49999999999999994); got != 0 {
+		t.Errorf("Convert(0.49999999999999994) = %d, want 0", got)
+	}
+}
+
 func TestADCMonotone(t *testing.T) {
 	adc := ADC{Bits: 10, VRef: 5.0}
 	prev := -1

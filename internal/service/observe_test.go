@@ -243,14 +243,14 @@ func TestMetricszLintsClean(t *testing.T) {
 // request paths must collapse into the fixed label set.
 func TestEndpointFamilyBounded(t *testing.T) {
 	cases := map[string]string{
-		"/v1/measure":        "measure",
-		"/v1/experiments/t4": "experiments",
-		"/v1/dataset":        "dataset",
-		"/v1/traces":         "traces",
-		"/healthz":           "healthz",
-		"/statsz":            "statsz",
-		"/metricsz":          "metricsz",
-		"/anything/else":     "other",
+		"/v1/measure":                  "measure",
+		"/v1/experiments/t4":           "experiments",
+		"/v1/dataset":                  "dataset",
+		"/v1/traces":                   "traces",
+		"/healthz":                     "healthz",
+		"/statsz":                      "statsz",
+		"/metricsz":                    "metricsz",
+		"/anything/else":               "other",
 		"/" + strings.Repeat("x", 512): "other",
 	}
 	for path, want := range cases {

@@ -250,10 +250,11 @@ func (d *Dataset) MeasureBatch(ctx context.Context, jobs []harness.Job, workers 
 }
 
 // Reference rebuilds the Section 2.6 normalization table from stored
-// reference-cell rows — the same accumulation order as the live
-// harness, over bit-identical inputs, so the table is bit-identical.
+// reference-cell rows through the live harness's builder
+// (harness.ReferenceFrom), over bit-identical inputs, so the table is
+// bit-identical.
 func (d *Dataset) Reference() (*harness.Reference, error) {
-	return harness.BuildReference(d.Measure)
+	return harness.ReferenceFrom(context.Background(), d, 0)
 }
 
 // Complete reports whether every benchmark of the given groups (nil =
