@@ -11,13 +11,15 @@
 //
 // With -backends the study runs remotely against a fleet of powerperfd
 // instances. The default scheduler (-sched steal) is pull-based work
-// stealing: cells are sliced into leases that backends pull as fast as
-// they finish, results stream back cell-by-cell over NDJSON, and a
-// lease that stalls — straggler or death — is stolen by an idle backend
-// with the first result per cell winning. -sched shard selects the
-// rendezvous coordinator instead: cells shard by hash (maximizing
-// backend cache reuse across runs), stragglers hedge to a second
-// backend, failures retry and fail over. Either way the CSVs are
+// stealing: every cell has a rendezvous-hashed home backend, each
+// home's cells are sliced into leases that its backend pulls front to
+// back (so repeated cells hit that backend's cache), a backend whose
+// home is drained takes other homes' leases from the back, results
+// stream back cell-by-cell over NDJSON, and a lease that stalls —
+// straggler or death — is stolen by an idle backend with the first
+// result per cell winning. -sched shard selects the push coordinator
+// instead: the same homes, but batches are pushed to them, stragglers
+// hedge to a second backend, failures retry and fail over. Either way the CSVs are
 // byte-identical to a local run, because every cell is a pure function
 // of its identity no matter which backend computes it.
 //
@@ -65,7 +67,7 @@ func main() {
 	seed := flag.Int64("seed", 42, "study seed")
 	out := flag.String("out", "dataset", "output directory")
 	backends := flag.String("backends", "", "comma-separated powerperfd base URLs; when set, measure remotely")
-	sched := flag.String("sched", "steal", "remote scheduler: steal (pull-based work stealing, streamed results) or shard (rendezvous hashing, hedged batches)")
+	sched := flag.String("sched", "steal", "remote scheduler: steal (pull-based leases from each cell's rendezvous home, idle backends take other homes' leases; streamed results) or shard (batches pushed to each cell's rendezvous home, hedged)")
 	hedgeDelay := flag.Duration("hedge-delay", 400*time.Millisecond, "duplicate a straggling batch to a second backend after this long (-sched shard; 0 disables)")
 	leaseExpiry := flag.Duration("lease-expiry", 2*time.Second, "steal a lease after it delivers no cell for this long (-sched steal)")
 	batchSize := flag.Int("batch-size", 0, "cells per scheduling block (local), per lease (-sched steal), or per measure request (-sched shard); 0 = automatic. Tune with `powerperf tune`")

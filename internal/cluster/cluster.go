@@ -159,30 +159,6 @@ func (cl *Cluster) Backends() []string { return cl.router.Members() }
 // disabled).
 func (cl *Cluster) Tracer() *telemetry.Tracer { return cl.tracer }
 
-// routeKey is a job's rendezvous key: exactly the determinism tuple, so
-// every coordinator shards identically and a backend's cache sees a
-// stable slice of the grid. strconv appends render the same bytes the
-// former fmt.Sprintf("%d|%s|%s|%d|%d|%.17g|%t", ...) did, so routing
-// is unchanged across coordinator versions.
-func routeKey(seed int64, j harness.Job) string {
-	cfg := j.CP.Config
-	b := make([]byte, 0, 64)
-	b = strconv.AppendInt(b, seed, 10)
-	b = append(b, '|')
-	b = append(b, j.Bench.Name...)
-	b = append(b, '|')
-	b = append(b, j.CP.Proc.Name...)
-	b = append(b, '|')
-	b = strconv.AppendInt(b, int64(cfg.Cores), 10)
-	b = append(b, '|')
-	b = strconv.AppendInt(b, int64(cfg.SMTWays), 10)
-	b = append(b, '|')
-	b = strconv.AppendFloat(b, cfg.ClockGHz, 'g', 17, 64)
-	b = append(b, '|')
-	b = strconv.AppendBool(b, cfg.Turbo)
-	return string(b)
-}
-
 // cellRequest renders a job as an explicit wire cell.
 func cellRequest(j harness.Job) service.CellRequest {
 	cfg := j.CP.Config

@@ -1,8 +1,10 @@
 package cluster
 
 import (
-	"hash/fnv"
 	"sort"
+	"strconv"
+
+	"repro/internal/harness"
 )
 
 // Router shards cells across backends with rendezvous (highest-random-
@@ -20,6 +22,9 @@ import (
 //     after a backend death re-spreads only the dead backend's cells.
 type Router struct {
 	members []string
+	// prefix[i] is the FNV-1a state after hashing members[i] and the NUL
+	// separator, so scoring a key hashes only the key's bytes.
+	prefix []uint64
 }
 
 // NewRouter builds a router over the given members, deduplicated; order
@@ -35,7 +40,11 @@ func NewRouter(members []string) *Router {
 		uniq = append(uniq, m)
 	}
 	sort.Strings(uniq)
-	return &Router{members: uniq}
+	prefix := make([]uint64, len(uniq))
+	for i, m := range uniq {
+		prefix[i] = fnvAdd(fnvAdd(fnvOffset64, m), "\x00")
+	}
+	return &Router{members: uniq, prefix: prefix}
 }
 
 // Members returns the member set in sorted order.
@@ -43,62 +52,107 @@ func (r *Router) Members() []string {
 	return append([]string(nil), r.members...)
 }
 
-// score is the rendezvous weight of key on member. FNV-64a over
+// FNV-1a parameters. A key's score on a member is FNV-64a over
 // member NUL key: cheap, stateless, and uniform enough that a 45x61
-// grid spreads within a few percent of even (see FuzzRoute).
-func score(member, key string) uint64 {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(member))
-	_, _ = h.Write([]byte{0})
-	_, _ = h.Write([]byte(key))
-	return h.Sum64()
+// grid spreads within a few percent of even (see FuzzRoute). Inlined
+// rather than hash/fnv so scoring allocates nothing.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+func fnvAdd[K string | []byte](h uint64, k K) uint64 {
+	for i := 0; i < len(k); i++ {
+		h ^= uint64(k[i])
+		h *= fnvPrime64
+	}
+	return h
 }
 
 // Rank returns the members ordered by descending score for key: Rank[0]
 // is the key's owner, Rank[1] its failover target, and so on. Ties break
 // by member name so the order is total and deterministic.
 func (r *Router) Rank(key string) []string {
-	ranked := append([]string(nil), r.members...)
-	scores := make(map[string]uint64, len(ranked))
-	for _, m := range ranked {
-		scores[m] = score(m, key)
+	order := make([]int, len(r.members))
+	scores := make([]uint64, len(r.members))
+	for i, p := range r.prefix {
+		order[i] = i
+		scores[i] = fnvAdd(p, key)
 	}
-	sort.Slice(ranked, func(i, j int) bool {
-		si, sj := scores[ranked[i]], scores[ranked[j]]
-		if si != sj {
-			return si > sj
+	// members is sorted, so an index tie-break is a name tie-break.
+	sort.Slice(order, func(a, b int) bool {
+		sa, sb := scores[order[a]], scores[order[b]]
+		if sa != sb {
+			return sa > sb
 		}
-		return ranked[i] < ranked[j]
+		return order[a] < order[b]
 	})
+	ranked := make([]string, len(order))
+	for i, m := range order {
+		ranked[i] = r.members[m]
+	}
 	return ranked
 }
 
-// Route returns key's owner, or "" for an empty member set.
-func (r *Router) Route(key string) string {
-	var best string
+// route returns key's highest-scoring member not in excluded (a nil
+// map excludes nothing), or "" when none is left. Members are sorted
+// and a tie needs a strictly higher score to displace, so ties go to
+// the smaller name.
+func route[K string | []byte](r *Router, key K, excluded map[string]bool) string {
+	best := -1
 	var bestScore uint64
-	for _, m := range r.members {
-		s := score(m, key)
-		if best == "" || s > bestScore || (s == bestScore && m < best) {
-			best, bestScore = m, s
+	for i, p := range r.prefix {
+		if excluded[r.members[i]] {
+			continue
+		}
+		if s := fnvAdd(p, key); best < 0 || s > bestScore {
+			best, bestScore = i, s
 		}
 	}
-	return best
+	if best < 0 {
+		return ""
+	}
+	return r.members[best]
+}
+
+// Route returns key's owner, or "" for an empty member set.
+func (r *Router) Route(key string) string { return route(r, key, nil) }
+
+// RouteJob returns the owner of job j's cell at seed: Route of its
+// routeKey, hashed from a stack buffer so no key string is built.
+func (r *Router) RouteJob(seed int64, j harness.Job) string {
+	var buf [128]byte
+	return route(r, appendRouteKey(buf[:0], seed, j), nil)
 }
 
 // RouteExcluding returns key's highest-ranked owner not in excluded, or
 // "" when every member is excluded — the failover routing step.
 func (r *Router) RouteExcluding(key string, excluded map[string]bool) string {
-	var best string
-	var bestScore uint64
-	for _, m := range r.members {
-		if excluded[m] {
-			continue
-		}
-		s := score(m, key)
-		if best == "" || s > bestScore || (s == bestScore && m < best) {
-			best, bestScore = m, s
-		}
-	}
-	return best
+	return route(r, key, excluded)
+}
+
+// routeKey is a job's rendezvous key: exactly the determinism tuple, so
+// every coordinator shards identically and a backend's cache sees a
+// stable slice of the grid. strconv appends render the same bytes the
+// former fmt.Sprintf("%d|%s|%s|%d|%d|%.17g|%t", ...) did, so routing
+// is unchanged across coordinator versions.
+func routeKey(seed int64, j harness.Job) string {
+	return string(appendRouteKey(make([]byte, 0, 64), seed, j))
+}
+
+func appendRouteKey(b []byte, seed int64, j harness.Job) []byte {
+	cfg := j.CP.Config
+	b = strconv.AppendInt(b, seed, 10)
+	b = append(b, '|')
+	b = append(b, j.Bench.Name...)
+	b = append(b, '|')
+	b = append(b, j.CP.Proc.Name...)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(cfg.Cores), 10)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(cfg.SMTWays), 10)
+	b = append(b, '|')
+	b = strconv.AppendFloat(b, cfg.ClockGHz, 'g', 17, 64)
+	b = append(b, '|')
+	return strconv.AppendBool(b, cfg.Turbo)
 }

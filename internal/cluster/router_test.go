@@ -106,6 +106,33 @@ func TestRouteExcluding(t *testing.T) {
 	}
 }
 
+// TestRouteJobMatchesRouteKey pins RouteJob to Route over the job's
+// routeKey string for every cell of the grid, at two seeds.
+func TestRouteJobMatchesRouteKey(t *testing.T) {
+	r := NewRouter(testMembers(3))
+	for _, seed := range []int64{42, -7} {
+		for _, j := range harness.GridJobs(proc.ConfigSpace(), nil) {
+			if got, want := r.RouteJob(seed, j), r.Route(routeKey(seed, j)); got != want {
+				t.Fatalf("RouteJob(%d, %s on %s) = %q, Route(routeKey) = %q", seed, j.Bench.Name, j.CP, got, want)
+			}
+		}
+	}
+}
+
+// TestRouteAllocFree pins routing at zero allocations: the scheduler
+// routes every job of every batch.
+func TestRouteAllocFree(t *testing.T) {
+	r := NewRouter(testMembers(3))
+	key := "42|mcf|i7 (45)|4|2|2.6|true"
+	if n := testing.AllocsPerRun(100, func() { _ = r.Route(key) }); n != 0 {
+		t.Errorf("Route allocates %v times per call, want 0", n)
+	}
+	j := stockJobs(t, 1)[0]
+	if n := testing.AllocsPerRun(100, func() { _ = r.RouteJob(42, j) }); n != 0 {
+		t.Errorf("RouteJob allocates %v times per call, want 0", n)
+	}
+}
+
 // FuzzRoute fuzzes the rendezvous properties the resilience layer
 // depends on: determinism (same cell, same member set, same owner),
 // membership (the owner is a member), and minimal disruption (removing

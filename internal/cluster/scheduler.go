@@ -25,10 +25,10 @@ type SchedulerOptions struct {
 	// Seed is the study seed sent with every measure request; nil
 	// defaults to 42 (a pointer keeps seed 0 usable).
 	Seed *int64
-	// LeaseCells is how many consecutive grid cells one lease covers;
-	// <= 0 selects 16. Leases slice the job list in order, so a lease
-	// shares a configuration's benchmark row — the same locality the
-	// local harness's scheduling blocks exploit.
+	// LeaseCells is how many grid cells one lease covers; <= 0 selects
+	// 16. Leases slice each home backend's cells in job order, so a
+	// lease stays within a stretch of one configuration's benchmark row
+	// — the same locality the local harness's scheduling blocks exploit.
 	LeaseCells int
 	// LeaseExpiry is how long a lease may go without delivering a cell
 	// before another backend may steal it; <= 0 selects 2s. Streaming
@@ -109,25 +109,26 @@ func (o SchedulerOptions) withDefaults() SchedulerOptions {
 	return o
 }
 
-// Scheduler is the pull-based work-stealing coordinator: a run's cells
-// are sliced into leases, per-backend pullers pull leases from the
-// shared queue as fast as their backend completes them, and results
-// stream back cell-by-cell over NDJSON (/v1/measure?stream=1). A lease
-// that stalls past LeaseExpiry is stolen by an idle backend — first
-// result per cell wins, duplicates are discarded — so a straggler or a
-// mid-stream death costs only the unfinished remainder of its lease,
-// never completed cells.
-//
-// Where Cluster pushes batches to rendezvous-chosen homes (maximizing
-// backend cache reuse across runs), the Scheduler lets backend speed
-// set the division of labor: a 10x-slower backend simply pulls 10x
-// fewer leases. Both satisfy the harness.MeasureBatch contract and
-// return bit-identical results — scheduling is invisible under the
-// determinism contract.
+// Scheduler is the pull-based work-stealing coordinator. Every cell of
+// a run has a home backend, chosen by the same rendezvous routing
+// Cluster uses, and each home's cells are sliced into leases.
+// Per-backend pullers take their own home's leases front to back, so a
+// repeated cell lands on the backend whose cache already holds it; a
+// puller whose home is drained takes another home's last idle lease,
+// so backend speed still sets the division of labor (a 10x-slower
+// backend ends up with a fraction of its home). Results stream back
+// cell-by-cell over NDJSON (/v1/measure?stream=1). A lease that stalls
+// past LeaseExpiry is stolen by an idle backend — first result per
+// cell wins, duplicates are discarded — so a straggler or a mid-stream
+// death costs only the unfinished remainder of its lease, never
+// completed cells. Like Cluster it satisfies the harness.MeasureBatch
+// contract with bit-identical results — scheduling is invisible under
+// the determinism contract.
 type Scheduler struct {
 	opts     SchedulerOptions
 	seed     int64
 	backends []string
+	router   *Router
 	clients  map[string]*Client
 	breakers map[string]*Breaker
 	resolver *Resolver
@@ -138,6 +139,7 @@ type Scheduler struct {
 	steals        atomic.Int64
 	redispatches  atomic.Int64
 	cellsDone     atomic.Int64
+	cellsAway     atomic.Int64
 	cellsDup      atomic.Int64
 	cellsReq      atomic.Int64
 	truncations   atomic.Int64
@@ -148,9 +150,9 @@ type Scheduler struct {
 // NewScheduler builds a work-stealing scheduler over the given backend
 // base URLs.
 func NewScheduler(backends []string, opts SchedulerOptions) (*Scheduler, error) {
-	// The router is used only to normalize and dedupe the member list —
-	// the scheduler does not route by key.
-	members := NewRouter(backends).Members()
+	// The router dedupes the member list and picks every cell's home.
+	router := NewRouter(backends)
+	members := router.Members()
 	if len(members) == 0 {
 		return nil, errors.New("cluster: no backends")
 	}
@@ -165,6 +167,7 @@ func NewScheduler(backends []string, opts SchedulerOptions) (*Scheduler, error) 
 		opts:     opts,
 		seed:     *opts.Seed,
 		backends: members,
+		router:   router,
 		clients:  make(map[string]*Client, len(members)),
 		breakers: make(map[string]*Breaker, len(members)),
 		resolver: NewResolver(),
@@ -189,9 +192,10 @@ func (s *Scheduler) Tracer() *telemetry.Tracer { return s.tracer }
 // run's mutex.
 type lease struct {
 	id         int
-	idxs       []int // job indices covered, in job order
-	remaining  int   // cells of this lease not yet delivered
-	holders    int   // backends currently streaming this lease
+	home       string // backend the lease's cells route to
+	idxs       []int  // job indices covered, in job order
+	remaining  int    // cells of this lease not yet delivered
+	holders    int    // backends currently streaming this lease
 	holderOf   map[string]int
 	touched    time.Time // last dispatch or cell delivery; expiry base
 	dispatched bool      // has ever been dispatched (first vs re-dispatch)
@@ -222,19 +226,25 @@ func newRun(s *Scheduler, jobs []harness.Job, cancel context.CancelFunc) *run {
 		done:   make([]bool, len(jobs)),
 		wake:   make(chan struct{}),
 	}
-	for lo := 0; lo < len(jobs); lo += s.opts.LeaseCells {
-		hi := lo + s.opts.LeaseCells
-		if hi > len(jobs) {
-			hi = len(jobs)
+	// Slice each home's cells, in job order, into leases. A lease is
+	// opened when its first cell is reached, so r.leases (and lease ids)
+	// run in order of first cell; with one backend this is the plain
+	// consecutive slicing of the job list.
+	size := min(s.opts.LeaseCells, len(jobs))
+	open := make(map[string]*lease, len(s.backends))
+	for i := range jobs {
+		home := s.router.RouteJob(s.seed, jobs[i])
+		l := open[home]
+		if l == nil || len(l.idxs) == s.opts.LeaseCells {
+			l = &lease{
+				id: len(r.leases), home: home, idxs: make([]int, 0, size),
+				holderOf: make(map[string]int),
+			}
+			r.leases = append(r.leases, l)
+			open[home] = l
 		}
-		idxs := make([]int, 0, hi-lo)
-		for i := lo; i < hi; i++ {
-			idxs = append(idxs, i)
-		}
-		r.leases = append(r.leases, &lease{
-			id: len(r.leases), idxs: idxs, remaining: len(idxs),
-			holderOf: make(map[string]int),
-		})
+		l.idxs = append(l.idxs, i)
+		l.remaining++
 	}
 	return r
 }
@@ -289,16 +299,19 @@ func (r *run) sleep(ctx context.Context, d time.Duration) bool {
 	}
 }
 
-// acquire hands backend its next lease: the lowest-id idle incomplete
-// lease if any (the front-to-back sweep keeps early blocks finishing
-// first), otherwise the stalest in-flight lease past expiry that the
-// backend is not already holding — a steal. Returns the lease, the
-// job indices still undone at acquisition, and the dispatch kind
-// ("first" initial dispatch, "steal" expired-lease takeover,
-// "redispatch" re-issue after the previous holder released without
-// finishing) — the lease span carries it so trace analytics can
-// attribute critical-path time to steal/re-dispatch stages. Lease is
-// nil when nothing is available right now.
+// acquire hands backend its next lease, in this order: the lowest-id
+// idle (incomplete, unheld) lease of its own home — the front-to-back
+// sweep keeps early blocks finishing first and repeated cells on the
+// backend that cached them; else the highest-id idle lease of another
+// home — taking from the back leaves the owner its front, so the tail
+// balances and a dead or slow backend's home still drains; else the
+// stalest in-flight lease past expiry that the backend is not already
+// holding — a steal. Returns the lease, the job indices still undone at
+// acquisition, and the dispatch kind ("first" initial dispatch, "steal"
+// expired-lease takeover, "redispatch" re-issue after the previous
+// holder released without finishing) — the lease span carries it so
+// trace analytics can attribute critical-path time to steal/re-dispatch
+// stages. Lease is nil when nothing is available right now.
 func (r *run) acquire(backend string) (*lease, []int, string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -306,11 +319,17 @@ func (r *run) acquire(backend string) (*lease, []int, string) {
 		return nil, nil, ""
 	}
 	now := time.Now()
+	idle := func(l *lease) bool { return l.remaining > 0 && l.holders == 0 }
 	var pick *lease
 	for _, l := range r.leases {
-		if l.remaining > 0 && l.holders == 0 {
+		if l.home == backend && idle(l) {
 			pick = l
 			break
+		}
+	}
+	for i := len(r.leases) - 1; pick == nil && i >= 0; i-- {
+		if l := r.leases[i]; l.home != backend && idle(l) {
+			pick = l
 		}
 	}
 	steal := false
@@ -523,17 +542,19 @@ func (s *Scheduler) pull(ctx context.Context, r *run, backend string) {
 			}
 			continue
 		}
-		err := s.streamLease(ctx, c, r, l, idxs, kind)
+		err := s.streamLease(ctx, c, r, l, idxs, kind, backend)
+		if err != nil && ctx.Err() != nil {
+			// Run completion or abort canceled the stream mid-flight —
+			// possibly this stream's own last cell, before its terminal
+			// line was read; nothing to record against the backend.
+			r.release(l, backend, nil)
+			return
+		}
 		r.release(l, backend, err)
 		if err == nil {
 			br.Success()
 			consecFails = 0
 			continue
-		}
-		if ctx.Err() != nil {
-			// Run completion or abort canceled the stream mid-flight;
-			// nothing to record against the backend.
-			return
 		}
 		if permanent(err) {
 			r.fail(err)
@@ -557,7 +578,7 @@ func (s *Scheduler) pull(ctx context.Context, r *run, backend string) {
 // streamLease streams one lease's undone cells from one backend,
 // delivering each cell as its line arrives. Completed cells survive a
 // failure partway — only the remainder is re-dispatched.
-func (s *Scheduler) streamLease(ctx context.Context, c *Client, r *run, l *lease, idxs []int, kind string) error {
+func (s *Scheduler) streamLease(ctx context.Context, c *Client, r *run, l *lease, idxs []int, kind, backend string) error {
 	if len(idxs) == 0 {
 		return nil
 	}
@@ -582,6 +603,9 @@ func (s *Scheduler) streamLease(ctx context.Context, c *Client, r *run, l *lease
 		}
 		if r.deliver(l, idxs[sc.Index], m) {
 			s.cellsDone.Add(1)
+			if backend != l.home {
+				s.cellsAway.Add(1)
+			}
 		} else {
 			s.cellsDup.Add(1)
 		}
@@ -627,6 +651,7 @@ type SchedulerStats struct {
 	Steals            int64          `json:"steals"`
 	Redispatches      int64          `json:"redispatches"`
 	CellsMeasured     int64          `json:"cells_measured"`
+	CellsAway         int64          `json:"cells_away"`
 	CellsRequested    int64          `json:"cells_requested"`
 	CellsDiscarded    int64          `json:"cells_discarded"`
 	StreamTruncations int64          `json:"stream_truncations"`
@@ -641,6 +666,7 @@ func (s *Scheduler) Stats() SchedulerStats {
 		Steals:            s.steals.Load(),
 		Redispatches:      s.redispatches.Load(),
 		CellsMeasured:     s.cellsDone.Load(),
+		CellsAway:         s.cellsAway.Load(),
 		CellsRequested:    s.cellsReq.Load(),
 		CellsDiscarded:    s.cellsDup.Load(),
 		StreamTruncations: s.truncations.Load(),
@@ -680,6 +706,7 @@ func (s *Scheduler) WriteMetrics(w io.Writer) {
 	counter("powerperf_sched_steals_total", "Leases stolen from a stalled holder by an idle backend.", st.Steals)
 	counter("powerperf_sched_redispatches_total", "Leases re-dispatched after a failed holder released them.", st.Redispatches)
 	counter("powerperf_sched_cells_measured_total", "Cells delivered first (kept).", st.CellsMeasured)
+	counter("powerperf_sched_cells_away_total", "Cells delivered first by a backend other than their home (its cache misses the repeat).", st.CellsAway)
 	counter("powerperf_sched_cells_requested_total", "Cells requested across all dispatches (including duplicated work).", st.CellsRequested)
 	counter("powerperf_sched_cells_discarded_total", "Duplicate cell deliveries discarded (first result won).", st.CellsDiscarded)
 	counter("powerperf_sched_stream_truncations_total", "Streams severed before their terminal line.", st.StreamTruncations)

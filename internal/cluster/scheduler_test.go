@@ -6,10 +6,12 @@ import (
 	"crypto/md5"
 	"fmt"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -322,6 +324,214 @@ func TestSchedulerStudyCSVProperty(t *testing.T) {
 		}()
 		if t.Failed() {
 			return
+		}
+	}
+}
+
+// passGate holds every measure request until each of want backends has
+// received one in the current pass, so no backend can finish its home
+// before every other backend has claimed its own.
+type passGate struct {
+	mu      sync.Mutex
+	want    int
+	arrived int
+	open    chan struct{}
+}
+
+func (g *passGate) reset() {
+	g.mu.Lock()
+	g.arrived, g.open = 0, make(chan struct{})
+	g.mu.Unlock()
+}
+
+func (g *passGate) wrap(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/measure" {
+			g.mu.Lock()
+			g.arrived++
+			if g.arrived == g.want {
+				close(g.open)
+			}
+			open := g.open
+			g.mu.Unlock()
+			select {
+			case <-open:
+			case <-r.Context().Done():
+			case <-time.After(10 * time.Second):
+			}
+		}
+		h.ServeHTTP(w, r)
+	})
+}
+
+// TestSchedulerRepeatPassHitsCache pins cache affinity: every cell goes
+// to its rendezvous home, so a batch that repeats cells finds them in
+// the cache of the backend that measured them. Each home is one lease
+// served by one puller, and the gate makes every backend claim its
+// home before any finishes, so no lease can move between backends and
+// the expected cache counters are exact.
+func TestSchedulerRepeatPassHitsCache(t *testing.T) {
+	gate := &passGate{want: 2}
+	gate.reset()
+	var srvs []*service.Server
+	var urls []string
+	for i := 0; i < 2; i++ {
+		srv := service.NewServer(service.Options{Seed: 42})
+		ts := httptest.NewServer(gate.wrap(srv.Handler()))
+		t.Cleanup(ts.Close)
+		srvs = append(srvs, srv)
+		urls = append(urls, ts.URL)
+	}
+	cps := proc.StockConfigs()[:6]
+	grid := harness.GridJobs(cps, nil)
+	s, err := NewScheduler(urls, SchedulerOptions{
+		Seed:              seedPtr(42),
+		LeaseCells:        len(grid),
+		LeaseExpiry:       time.Minute,
+		PullersPerBackend: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := harness.New(42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	misses := func() (n int64) {
+		for _, srv := range srvs {
+			n += srv.Stats().Cache.Misses
+		}
+		return n
+	}
+	hits := func() (n int64) {
+		for _, srv := range srvs {
+			n += srv.Stats().Cache.Hits
+		}
+		return n
+	}
+
+	ref, err := s.Reference(ctx, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRef, err := h.Reference()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(ref, wantRef) {
+		t.Fatal("scheduled reference differs from local")
+	}
+	refCells, err := harness.ReferenceCells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	isRef := map[string]bool{}
+	for _, j := range harness.GridJobs(refCells, nil) {
+		isRef[routeKey(42, j)] = true
+	}
+	overlap := 0
+	for _, j := range grid {
+		if isRef[routeKey(42, j)] {
+			overlap++
+		}
+	}
+	if overlap == 0 {
+		t.Fatal("grid shares no cells with the reference set")
+	}
+
+	want, err := h.MeasureBatch(ctx, grid, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pass := 1; pass <= 2; pass++ {
+		gate.reset()
+		m0, h0 := misses(), hits()
+		got, err := s.MeasureBatch(ctx, grid, 0)
+		if err != nil {
+			t.Fatalf("pass %d: %v", pass, err)
+		}
+		for i := range want {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Fatalf("pass %d job %d (%s on %s): scheduled measurement differs from local",
+					pass, i, grid[i].Bench.Name, grid[i].CP)
+			}
+		}
+		wantMiss, wantHit := int64(len(grid)-overlap), int64(overlap)
+		if pass == 2 {
+			wantMiss, wantHit = 0, int64(len(grid))
+		}
+		if dm, dh := misses()-m0, hits()-h0; dm != wantMiss || dh != wantHit {
+			t.Errorf("pass %d: %d misses and %d hits, want %d and %d", pass, dm, dh, wantMiss, wantHit)
+		}
+	}
+	if st := s.Stats(); st.CellsAway != 0 || st.Steals != 0 {
+		t.Errorf("cells left their home: stats %+v", st)
+	}
+}
+
+// TestSchedulerDeadHomeDrains: with one of two backends down from the
+// start, the survivor takes every lease of the dead backend's home
+// (from the back, after draining its own), no run is poisoned under
+// the default MaxLeaseFailures, and the CSV is byte-identical.
+func TestSchedulerDeadHomeDrains(t *testing.T) {
+	_, dead, d := newBackend(t, service.Options{Seed: 42})
+	d.dead.Store(true)
+	_, live, _ := newBackend(t, service.Options{Seed: 42})
+	s, err := NewScheduler([]string{dead.URL, live.URL}, SchedulerOptions{Seed: seedPtr(42), LeaseCells: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cps := proc.StockConfigs()[:2]
+	ctx := context.Background()
+	ref, err := s.Reference(ctx, 0)
+	if err != nil {
+		t.Fatalf("reference with a dead home: %v", err)
+	}
+	var got, want bytes.Buffer
+	if err := experiments.StreamMeasurementsCSVFrom(ctx, s, ref, cps, &got, 0); err != nil {
+		t.Fatalf("study with a dead home: %v", err)
+	}
+	h, err := harness.New(42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRef, err := h.Reference()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := experiments.StreamMeasurementsCSVFrom(ctx, h, wantRef, cps, &want, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Errorf("measurements.csv differs with a dead home (%d vs %d bytes)", got.Len(), want.Len())
+	}
+
+	refCells, err := harness.ReferenceCells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	router := NewRouter(s.Backends())
+	total, deadHome := 0, 0
+	for _, batch := range [][]harness.Job{harness.GridJobs(refCells, nil), harness.GridJobs(cps, nil)} {
+		for _, j := range batch {
+			total++
+			if router.RouteJob(42, j) == dead.URL {
+				deadHome++
+			}
+		}
+	}
+	st := s.Stats()
+	if deadHome == 0 || st.CellsAway != int64(deadHome) || st.CellsMeasured != int64(total) {
+		t.Errorf("cells_away = %d of %d measured, want every one of the %d dead-home cells of %d",
+			st.CellsAway, st.CellsMeasured, deadHome, total)
+	}
+	for _, be := range st.Backends {
+		if be.URL == live.URL && be.LeaseFailures != 0 {
+			t.Errorf("survivor failed %d leases", be.LeaseFailures)
+		}
+		if be.URL == dead.URL && be.LeaseFailures == 0 {
+			t.Error("dead backend was never tried")
 		}
 	}
 }

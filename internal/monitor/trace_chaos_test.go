@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"net/http"
 	"net/http/httptest"
 	"sync"
 	"sync/atomic"
@@ -37,11 +38,12 @@ import (
 //
 // The critical path runs through whichever lease finishes last, so the
 // hooks order the tail by construction rather than by timing: the
-// final lease is refused by the two survivors until the victim has died
-// holding it, and the victim dies only once every other cell of the
-// study has entered its computation. The re-dispatch of the final
-// lease — all of its cells still unmeasured — is then the last lease
-// to finish.
+// final lease — the victim's last home lease, which the victim reaches
+// last in its front-to-back sweep — is refused by the two survivors
+// until the victim has died holding it, and the victim dies only once
+// every other cell of the study has entered its computation. The
+// re-dispatch of the final lease — all of its cells still unmeasured —
+// is then the last lease to finish.
 func TestCriticalPathUnderChaos(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second chaos scenario; skipped in -short")
@@ -51,10 +53,9 @@ func TestCriticalPathUnderChaos(t *testing.T) {
 	cps := proc.StockConfigs()[:6]
 	jobs := harness.GridJobs(cps, nil)
 	cellKey := func(bench, processor string) string { return bench + "|" + processor }
+	// Filled in once the victim's address is known, before any cell is
+	// measured.
 	finalLease := map[string]bool{}
-	for _, j := range jobs[(len(jobs)-1)/leaseCells*leaseCells:] {
-		finalLease[cellKey(j.Bench.Name, j.CP.Proc.Name)] = true
-	}
 
 	// started records every non-final cell that has entered a
 	// computation on some backend; othersStarted closes when all have.
@@ -147,14 +148,48 @@ func TestCriticalPathUnderChaos(t *testing.T) {
 		})
 		return nil
 	}}
-	srv2 := service.NewServer(service.Options{Seed: 42, Hooks: hooks2})
+	// The victim holds every cell of the final lease in its hook until
+	// the rest of the study has started, so it gets more workers than a
+	// lease has cells: its other leases keep computing instead of
+	// queueing behind the held cells until the kill.
+	srv2 := service.NewServer(service.Options{Seed: 42, Hooks: hooks2, Workers: 2 * leaseCells})
 	defer srv2.Drain()
-	ts2 := httptest.NewServer(srv2.Handler())
+	// victimMeasures tracks the victim's in-flight measure requests: it
+	// keeps computing its final-lease cells after the kill, and the
+	// spans of a request still open at harvest would be assembled
+	// without their parent.
+	var victimMeasures sync.WaitGroup
+	h2 := srv2.Handler()
+	ts2 := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/measure" {
+			victimMeasures.Add(1)
+			defer victimMeasures.Done()
+		}
+		h2.ServeHTTP(w, r)
+	}))
 	defer ts2.Close()
 	proxy2 = chaoshttp.New(ts2.URL, chaoshttp.Options{Seed: 2})
 	pts2 = httptest.NewServer(proxy2)
 	defer pts2.Close()
 	defer close(stop)
+	members := []string{ts0.URL, ts1.URL, pts2.URL}
+
+	// The scheduler slices each backend's home cells (rendezvous routing
+	// over the member set) into leases of leaseCells in job order; the
+	// final lease is the last slice of the victim's home.
+	router := cluster.NewRouter(members)
+	var victimHome []harness.Job
+	for _, j := range jobs {
+		if router.RouteJob(42, j) == pts2.URL {
+			victimHome = append(victimHome, j)
+		}
+	}
+	if len(victimHome) == 0 {
+		t.Fatal("the victim is home to no cell")
+	}
+	for _, j := range victimHome[(len(victimHome)-1)/leaseCells*leaseCells:] {
+		finalLease[cellKey(j.Bench.Name, j.CP.Proc.Name)] = true
+	}
 
 	// The monitor watches all three backends directly, analytics armed
 	// and sweeping (trace harvests included, on the sweep throttle)
@@ -169,7 +204,7 @@ func TestCriticalPathUnderChaos(t *testing.T) {
 	defer cancel()
 	mon.Start(ctx)
 
-	sched, err := cluster.NewScheduler([]string{ts0.URL, ts1.URL, pts2.URL}, cluster.SchedulerOptions{
+	sched, err := cluster.NewScheduler(members, cluster.SchedulerOptions{
 		Seed:             seedPtr(42),
 		LeaseCells:       leaseCells,
 		LeaseExpiry:      150 * time.Millisecond,
@@ -212,9 +247,12 @@ func TestCriticalPathUnderChaos(t *testing.T) {
 		t.Fatalf("victim death produced no steals or re-dispatches; stats %+v", st)
 	}
 
-	// Assemble: force one full harvest of every backend's retention,
-	// then stitch in the coordinator's own spans — the scheduler.lease
-	// spans that join the backend fragments into one waterfall.
+	// Assemble once the victim has finished its last request (nothing
+	// reaches it through the dead proxy any more): force one full
+	// harvest of every backend's retention, then stitch in the
+	// coordinator's own spans — the scheduler.lease spans that join the
+	// backend fragments into one waterfall.
+	victimMeasures.Wait()
 	mon.HarvestTraces(ctx)
 	if n := mon.IngestSpans("coordinator", sched.Tracer().Snapshot()); n == 0 {
 		t.Fatal("coordinator contributed no spans")

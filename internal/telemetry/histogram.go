@@ -191,23 +191,45 @@ func (r *Registry) histogram(name, help, labelKey, labelValue string) *Histogram
 	return h
 }
 
+// familySeries is one family's series, copied under the registry lock
+// (histogram adds series concurrently), label values in sorted order.
+type familySeries struct {
+	*family
+	values []string
+	series []*Histogram
+}
+
+// snapshot copies every family and its series, families in name order.
+func (r *Registry) snapshot() []familySeries {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make([]familySeries, 0, len(r.fams))
+	for _, f := range r.fams {
+		fs := familySeries{family: f, values: make([]string, 0, len(f.hists))}
+		for lv := range f.hists {
+			fs.values = append(fs.values, lv)
+		}
+		sort.Strings(fs.values)
+		for _, lv := range fs.values {
+			fs.series = append(fs.series, f.hists[lv])
+		}
+		out = append(out, fs)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
+	return out
+}
+
 // Summaries returns the digest of every series, keyed by family name
 // (labeled series append {label="value"}).
 func (r *Registry) Summaries() map[string]Summary {
-	r.mu.Lock()
-	fams := make([]*family, 0, len(r.fams))
-	for _, f := range r.fams {
-		fams = append(fams, f)
-	}
-	r.mu.Unlock()
 	out := make(map[string]Summary)
-	for _, f := range fams {
-		for lv, h := range f.hists {
+	for _, f := range r.snapshot() {
+		for i, lv := range f.values {
 			key := f.name
 			if f.labelKey != "" {
 				key = fmt.Sprintf("%s{%s=%q}", f.name, f.labelKey, lv)
 			}
-			out[key] = h.Summary()
+			out[key] = f.series[i].Summary()
 		}
 	}
 	return out
@@ -219,28 +241,11 @@ func (r *Registry) Summaries() map[string]Summary {
 // diffable; empty buckets above a series' maximum observation are
 // elided to keep the page proportional to observed range.
 func (r *Registry) WritePrometheus(w io.Writer) {
-	r.mu.Lock()
-	names := make([]string, 0, len(r.fams))
-	for name := range r.fams {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	fams := make([]*family, len(names))
-	for i, name := range names {
-		fams[i] = r.fams[name]
-	}
-	r.mu.Unlock()
-
 	var b strings.Builder
-	for _, f := range fams {
+	for _, f := range r.snapshot() {
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s histogram\n", f.name, f.help, f.name)
-		values := make([]string, 0, len(f.hists))
-		for lv := range f.hists {
-			values = append(values, lv)
-		}
-		sort.Strings(values)
-		for _, lv := range values {
-			h := f.hists[lv]
+		for vi, lv := range f.values {
+			h := f.series[vi]
 			s := h.Snapshot()
 			top := 0
 			for i, c := range s.Counts {

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -130,6 +131,32 @@ func TestRegistryIdempotentAndLabeled(t *testing.T) {
 		}
 	}()
 	r.LabeledHistogram("x_seconds", "help", "backend", "a")
+}
+
+// TestRegistryScrapeDuringRegistration renders and summarizes the
+// registry while new series of an existing family are added — a
+// coordinator registering per-backend histograms while its process is
+// scraped. Run under -race.
+func TestRegistryScrapeDuringRegistration(t *testing.T) {
+	r := NewRegistry()
+	r.LabeledHistogram("y_seconds", "help", "backend", "seed").Observe(time.Millisecond)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			r.LabeledHistogram("y_seconds", "help", "backend", strconv.Itoa(i)).Observe(time.Millisecond)
+		}
+	}()
+	for i := 0; i < 50; i++ {
+		var b strings.Builder
+		r.WritePrometheus(&b)
+		_ = r.Summaries()
+	}
+	wg.Wait()
+	if n := len(r.Summaries()); n != 201 {
+		t.Fatalf("registry holds %d series, want 201", n)
+	}
 }
 
 func TestRegistryPrometheusShape(t *testing.T) {
