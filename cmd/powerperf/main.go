@@ -25,7 +25,7 @@
 // ready-to-paste trace URLs) as a terminal table.
 //
 // The tune subcommand sweeps the serving pipeline's performance knobs
-// (backend workers, cache shards, batch size, hedge delay) over a
+// (backend workers, cache shards, the scheduler's lease size) over a
 // calibration grid against in-process backends, prints the scored grid,
 // and emits the knee point as ready-to-paste powerperfd and fullstudy
 // flags (plus a JSON report with -out). The knobs are pure scheduling:
@@ -138,7 +138,7 @@ func runTune(args []string) {
 	seed := fs.Int64("seed", 42, "study seed for the calibration runs")
 	configs := fs.Int("configs", 2, "stock configurations per calibration study (x 61 benchmarks)")
 	repeats := fs.Int("repeats", 1, "cold-cache repeats per grid point; the fastest scores the point")
-	backends := fs.Int("backends", 2, "in-process powerperfd instances per calibration cluster")
+	backends := fs.Int("backends", 2, "in-process powerperfd instances per calibration fleet")
 	gridName := fs.String("grid", "quick", "sweep to run: quick (batch sizes) or full (all knobs)")
 	out := fs.String("out", "", "also write the full JSON report to this file")
 	_ = fs.Parse(args)

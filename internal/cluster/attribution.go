@@ -1,24 +1,20 @@
 package cluster
 
-// Per-backend SLO attribution. The coordinator's resilience tactics —
-// hedging a straggler, failing over off a dead member, stealing a
-// stalled lease — are exactly the moments it pays latency or capacity
-// to cover for one specific backend. Counting those interventions per
-// victim turns "the fleet burned error budget" into "backend X cost us
-// N hedges and M steals", which is what an SLO post-mortem actually
-// needs. The counters ride Stats()/WriteMetrics like every other
-// coordinator counter, so monitors federate them with zero new scrape
-// code.
+// Per-backend SLO attribution. The scheduler's resilience tactics —
+// stealing a stalled lease, re-dispatching a failed one — are exactly
+// the moments it pays latency or capacity to cover for one specific
+// backend. Counting those interventions per victim turns "the fleet
+// burned error budget" into "backend X cost us N steals and M failed
+// leases", which is what an SLO post-mortem actually needs. The
+// counters ride Stats()/WriteMetrics like every other scheduler
+// counter, so monitors federate them with zero new scrape code.
 
 import "sync/atomic"
 
 // backendAttr holds the interventions charged against one backend.
 type backendAttr struct {
-	hedgedAway  atomic.Int64 // batches duplicated away because this primary straggled
-	hedgeLosses atomic.Int64 // hedge duplicates that answered before this primary
-	failedOver  atomic.Int64 // chunks re-routed off this backend after it died
-	stolenFrom  atomic.Int64 // leases stolen from this stalled holder
-	leaseFails  atomic.Int64 // lease dispatches this holder failed
+	stolenFrom atomic.Int64 // leases stolen from this stalled holder
+	leaseFails atomic.Int64 // lease dispatches this holder failed
 }
 
 // attribution is a fixed-member attribution table. The member set is

@@ -7,14 +7,14 @@ import (
 
 // Breaker is a per-backend circuit breaker. It trips open after
 // Threshold consecutive failures; while open, Ready reports false and
-// the coordinator routes around the backend. After Cooldown elapses the
-// breaker is half-open: trial traffic (the next routed batch, or a
+// the backend's pullers idle instead of claiming leases. After Cooldown
+// elapses the breaker is half-open: trial traffic (the next lease, or a
 // /healthz probe) is allowed through, a success closes the breaker, and
 // a failure re-arms the cooldown without waiting for a fresh run of
 // consecutive failures.
 //
-// Failures are fed from two sources: measure requests that error, and
-// the /healthz prober (Cluster.ProbeHealth). Both call Success/Failure;
+// Failures are fed from two sources: lease streams that fail, and the
+// /healthz prober (Scheduler.ProbeHealth). Both call Success/Failure;
 // the breaker does not distinguish them — an unhealthy answer to either
 // is evidence the backend cannot serve.
 type Breaker struct {

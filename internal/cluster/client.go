@@ -1,16 +1,19 @@
-// Package cluster is the scale-out layer over powerperfd: a coordinator
-// that runs study workloads against N backends, sharding cells with
-// rendezvous hashing and wrapping every request in retries, a
-// per-backend circuit breaker, tail-latency hedging, and failover.
+// Package cluster is the scale-out layer over powerperfd: a pull-based
+// work-stealing scheduler that runs study workloads against N backends.
+// Every cell has a rendezvous-hashed home backend; each home's cells are
+// sliced into leases that backends pull and stream back over NDJSON,
+// with per-backend circuit breakers, /healthz probes, jittered backoff,
+// lease re-dispatch after a failure, and lease stealing from a stalled
+// holder.
 //
 // The whole layer leans on the repository's determinism contract: a
 // measurement is a pure function of the (benchmark, processor, config,
 // seed) tuple, bit-identical wherever it is computed. That makes every
-// resilience tactic trivially correct — a retried, hedged, or failed-
-// over cell returns exactly the bytes the first attempt would have, so
-// the coordinator can duplicate work freely and take whichever answer
-// arrives first, and backend caches deduplicate whatever the duplicated
-// work recomputes.
+// resilience tactic trivially correct — a re-dispatched or stolen cell
+// returns exactly the bytes the first attempt would have, so the
+// scheduler can duplicate work freely and keep whichever answer arrives
+// first, and backend caches deduplicate whatever the duplicated work
+// recomputes.
 package cluster
 
 import (
@@ -47,7 +50,7 @@ type Client struct {
 
 	// lat is this backend's measure-exchange latency distribution, one
 	// labeled series of the shared cluster family; it surfaces in the
-	// coordinator's Stats and in /metricsz when the coordinator shares a
+	// scheduler's Stats and in /metricsz when the scheduler shares a
 	// process with a served registry.
 	lat *telemetry.Histogram
 }
@@ -102,42 +105,48 @@ func permanent(err error) bool {
 	return false
 }
 
-func (c *Client) do(ctx context.Context, method, path string, body, out any) error {
+// withTimeout applies the client's per-request deadline to ctx.
+func (c *Client) withTimeout(ctx context.Context) (context.Context, context.CancelFunc) {
 	if c.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.timeout)
-		defer cancel()
+		return context.WithTimeout(ctx, c.timeout)
 	}
+	return ctx, func() {}
+}
+
+// do sends one request (body, when non-nil, as JSON) and returns the
+// response if its status is 200; the caller closes its body. Any other
+// status comes back as a backendError carrying the body's error message.
+func (c *Client) do(ctx context.Context, method, path string, body any) (*http.Response, error) {
 	var rd io.Reader
 	if body != nil {
 		buf, err := json.Marshal(body)
 		if err != nil {
-			return fmt.Errorf("cluster: marshal request: %w", err)
+			return nil, fmt.Errorf("cluster: marshal request: %w", err)
 		}
 		rd = bytes.NewReader(buf)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
 	if err != nil {
-		return fmt.Errorf("cluster: build request: %w", err)
+		return nil, fmt.Errorf("cluster: build request: %w", err)
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
 	req.Header.Set("User-Agent", userAgent)
 	// Propagate the caller's trace so the backend's spans stitch into
-	// the coordinator's view (a no-op when ctx carries no span).
+	// the scheduler's view (a no-op when ctx carries no span).
 	telemetry.InjectHeaders(ctx, req.Header)
 	resp, err := c.hc.Do(req)
 	if err != nil {
 		// Surface the caller's cancellation as such; everything else is
 		// a transport failure attributable to the backend.
 		if ctxErr := ctx.Err(); ctxErr != nil {
-			return ctxErr
+			return nil, ctxErr
 		}
-		return &backendError{Backend: c.base, Msg: err.Error()}
+		return nil, &backendError{Backend: c.base, Msg: err.Error()}
 	}
-	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
+		defer resp.Body.Close()
 		msg := resp.Status
 		var eb struct {
 			Error string `json:"error"`
@@ -147,48 +156,22 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 				msg = eb.Error
 			}
 		}
-		return &backendError{Backend: c.base, Status: resp.StatusCode, Msg: msg}
+		return nil, &backendError{Backend: c.base, Status: resp.StatusCode, Msg: msg}
 	}
-	if out == nil {
-		_, _ = io.Copy(io.Discard, resp.Body)
-		return nil
-	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-		return &backendError{Backend: c.base, Msg: "decode response: " + err.Error()}
-	}
-	return nil
-}
-
-// Measure posts a batch measure request and returns the response. The
-// exchange's wall time (success or failure) feeds the backend's
-// latency histogram.
-func (c *Client) Measure(ctx context.Context, req *service.MeasureRequest) (*service.MeasureResponse, error) {
-	var resp service.MeasureResponse
-	start := time.Now()
-	err := c.do(ctx, http.MethodPost, "/v1/measure", req, &resp)
-	c.lat.Observe(time.Since(start))
-	if err != nil {
-		return nil, err
-	}
-	if len(resp.Cells) != len(req.Cells) {
-		return nil, &backendError{Backend: c.base,
-			Msg: fmt.Sprintf("response has %d cells, want %d", len(resp.Cells), len(req.Cells))}
-	}
-	return &resp, nil
+	return resp, nil
 }
 
 // Healthz probes the backend's liveness endpoint.
 func (c *Client) Healthz(ctx context.Context) error {
-	return c.do(ctx, http.MethodGet, "/healthz", nil, nil)
-}
-
-// Stats fetches the backend's /statsz counters.
-func (c *Client) Stats(ctx context.Context) (*service.Stats, error) {
-	var st service.Stats
-	if err := c.do(ctx, http.MethodGet, "/statsz", nil, &st); err != nil {
-		return nil, err
+	ctx, cancel := c.withTimeout(ctx)
+	defer cancel()
+	resp, err := c.do(ctx, http.MethodGet, "/healthz", nil)
+	if err != nil {
+		return err
 	}
-	return &st, nil
+	defer resp.Body.Close()
+	_, _ = io.Copy(io.Discard, resp.Body)
+	return nil
 }
 
 // Resolver memoizes one workload and fleet instance for reconstructing
@@ -256,10 +239,4 @@ func (rv *Resolver) MeasurementFromCell(cr *service.CellResult) (*harness.Measur
 		m.Runs[i] = harness.RunSample{Seconds: r.Seconds, Watts: r.Watts, Counters: r.Counters.Counters()}
 	}
 	return m, nil
-}
-
-// MeasurementFromCell is the standalone form for one-off callers; batch
-// reconstruction should share a Resolver.
-func MeasurementFromCell(cr *service.CellResult) (*harness.Measurement, error) {
-	return NewResolver().MeasurementFromCell(cr)
 }

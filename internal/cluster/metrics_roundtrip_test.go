@@ -10,7 +10,7 @@ import (
 	"repro/internal/telemetry"
 )
 
-// roundTripMetrics lints and parses a coordinator's metrics page and
+// roundTripMetrics lints and parses a scheduler's metrics page and
 // checks it survives render→parse intact, returning the families.
 func roundTripMetrics(t *testing.T, text string) []telemetry.MetricFamily {
 	t.Helper()
@@ -33,42 +33,11 @@ func roundTripMetrics(t *testing.T, text string) []telemetry.MetricFamily {
 	return fams
 }
 
-// TestClusterMetricsRoundTrip is the exposition guard for the
-// coordinator's metrics page: WriteMetrics must lint clean, parse, and
+// TestSchedulerMetricsRoundTrip is the exposition guard for the
+// scheduler's metrics page: WriteMetrics must lint clean, parse, and
 // survive render→parse with every family — including the per-backend
 // breaker_state samples, whose URL label values exercise the escaping
-// path — intact.
-func TestClusterMetricsRoundTrip(t *testing.T) {
-	_, ts, _ := newBackend(t, service.Options{Seed: 42})
-	cl, err := New([]string{ts.URL}, Options{Seed: seedPtr(42)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.MeasureBatch(context.Background(), stockJobs(t, 2), 0); err != nil {
-		t.Fatal(err)
-	}
-
-	var buf bytes.Buffer
-	cl.WriteMetrics(&buf)
-	breaker := false
-	for _, f := range roundTripMetrics(t, buf.String()) {
-		if f.Name == "powerperf_cluster_breaker_state" {
-			breaker = true
-			if len(f.Samples) != 1 {
-				t.Fatalf("breaker_state samples: %+v, want one per backend", f.Samples)
-			}
-			if v, ok := f.Samples[0].Label("backend"); !ok || v != ts.URL {
-				t.Fatalf("breaker_state backend label %q, want %q", v, ts.URL)
-			}
-		}
-	}
-	if !breaker {
-		t.Fatal("cluster metrics missing powerperf_cluster_breaker_state")
-	}
-}
-
-// TestSchedulerMetricsRoundTrip is the same guard for the scheduler's
-// page. One puller serves two backends, so it drains the other
+// path — intact. One puller serves two backends, so it drains the other
 // backend's home too and cells_away is nonzero; the rendered counter
 // must carry exactly the Stats value.
 func TestSchedulerMetricsRoundTrip(t *testing.T) {
@@ -89,14 +58,29 @@ func TestSchedulerMetricsRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	s.WriteMetrics(&buf)
 	var away *telemetry.MetricFamily
+	breaker := false
 	fams := roundTripMetrics(t, buf.String())
 	for i := range fams {
-		if fams[i].Name == "powerperf_sched_cells_away_total" {
+		switch fams[i].Name {
+		case "powerperf_sched_cells_away_total":
 			if away != nil {
 				t.Fatal("powerperf_sched_cells_away_total rendered twice")
 			}
 			away = &fams[i]
+		case "powerperf_sched_breaker_state":
+			breaker = true
+			if len(fams[i].Samples) != 2 {
+				t.Fatalf("breaker_state samples: %+v, want one per backend", fams[i].Samples)
+			}
+			for j, want := range s.Backends() {
+				if v, ok := fams[i].Samples[j].Label("backend"); !ok || v != want {
+					t.Fatalf("breaker_state sample %d backend label %q, want %q", j, v, want)
+				}
+			}
 		}
+	}
+	if !breaker {
+		t.Fatal("scheduler metrics missing powerperf_sched_breaker_state")
 	}
 	if away == nil || len(away.Samples) != 1 {
 		t.Fatalf("scheduler metrics: cells_away family %+v, want one sample", away)

@@ -13,13 +13,13 @@ import (
 // make it the right fit here:
 //
 //   - Stability: a key's owner depends only on the member set, so every
-//     coordinator (and every retry) routes the same cell to the same
+//     run (and every re-dispatch) homes the same cell on the same
 //     backend, keeping that backend's LRU shard hot for exactly its
 //     slice of the study grid.
 //
 //   - Minimal disruption: removing a member only reassigns the keys that
-//     member owned — each to its second-ranked backend — so failover
-//     after a backend death re-spreads only the dead backend's cells.
+//     member owned — each to its second-ranked backend — so a fleet
+//     without one member re-homes only that member's cells.
 type Router struct {
 	members []string
 	// prefix[i] is the FNV-1a state after hashing members[i] and the NUL
@@ -70,7 +70,7 @@ func fnvAdd[K string | []byte](h uint64, k K) uint64 {
 }
 
 // Rank returns the members ordered by descending score for key: Rank[0]
-// is the key's owner, Rank[1] its failover target, and so on. Ties break
+// is the key's owner, Rank[1] its owner once Rank[0] leaves, and so on. Ties break
 // by member name so the order is total and deterministic.
 func (r *Router) Rank(key string) []string {
 	order := make([]int, len(r.members))
@@ -94,17 +94,13 @@ func (r *Router) Rank(key string) []string {
 	return ranked
 }
 
-// route returns key's highest-scoring member not in excluded (a nil
-// map excludes nothing), or "" when none is left. Members are sorted
-// and a tie needs a strictly higher score to displace, so ties go to
-// the smaller name.
-func route[K string | []byte](r *Router, key K, excluded map[string]bool) string {
+// route returns key's highest-scoring member, or "" for an empty
+// member set. Members are sorted and a tie needs a strictly higher
+// score to displace, so ties go to the smaller name.
+func route[K string | []byte](r *Router, key K) string {
 	best := -1
 	var bestScore uint64
 	for i, p := range r.prefix {
-		if excluded[r.members[i]] {
-			continue
-		}
 		if s := fnvAdd(p, key); best < 0 || s > bestScore {
 			best, bestScore = i, s
 		}
@@ -116,26 +112,20 @@ func route[K string | []byte](r *Router, key K, excluded map[string]bool) string
 }
 
 // Route returns key's owner, or "" for an empty member set.
-func (r *Router) Route(key string) string { return route(r, key, nil) }
+func (r *Router) Route(key string) string { return route(r, key) }
 
 // RouteJob returns the owner of job j's cell at seed: Route of its
 // routeKey, hashed from a stack buffer so no key string is built.
 func (r *Router) RouteJob(seed int64, j harness.Job) string {
 	var buf [128]byte
-	return route(r, appendRouteKey(buf[:0], seed, j), nil)
-}
-
-// RouteExcluding returns key's highest-ranked owner not in excluded, or
-// "" when every member is excluded — the failover routing step.
-func (r *Router) RouteExcluding(key string, excluded map[string]bool) string {
-	return route(r, key, excluded)
+	return route(r, appendRouteKey(buf[:0], seed, j))
 }
 
 // routeKey is a job's rendezvous key: exactly the determinism tuple, so
-// every coordinator shards identically and a backend's cache sees a
+// every run homes cells identically and a backend's cache sees a
 // stable slice of the grid. strconv appends render the same bytes the
 // former fmt.Sprintf("%d|%s|%s|%d|%d|%.17g|%t", ...) did, so routing
-// is unchanged across coordinator versions.
+// is unchanged across versions.
 func routeKey(seed int64, j harness.Job) string {
 	return string(appendRouteKey(make([]byte, 0, 64), seed, j))
 }

@@ -81,28 +81,11 @@ func TestRouterMinimalDisruption(t *testing.T) {
 		moved++
 		// The dead member's keys must land on their second rank.
 		if want := r.Rank(key)[1]; after != want {
-			t.Fatalf("key %q failed over to %q, want second rank %q", key, after, want)
+			t.Fatalf("key %q re-homed to %q, want second rank %q", key, after, want)
 		}
 	}
 	if moved == 0 {
 		t.Fatal("dead member owned no keys; balance test should have caught this")
-	}
-}
-
-func TestRouteExcluding(t *testing.T) {
-	members := testMembers(4)
-	r := NewRouter(members)
-	key := "42|mcf|i7 (45)|4|2|2.6|true"
-	rank := r.Rank(key)
-	excluded := map[string]bool{}
-	for i, want := range rank {
-		if got := r.RouteExcluding(key, excluded); got != want {
-			t.Fatalf("after excluding %d members: got %q, want rank[%d]=%q", i, got, i, want)
-		}
-		excluded[want] = true
-	}
-	if got := r.RouteExcluding(key, excluded); got != "" {
-		t.Fatalf("all members excluded: got %q, want empty", got)
 	}
 }
 

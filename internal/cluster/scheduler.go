@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"strconv"
 	"strings"
@@ -26,7 +27,7 @@ type SchedulerOptions struct {
 	// defaults to 42 (a pointer keeps seed 0 usable).
 	Seed *int64
 	// LeaseCells is how many grid cells one lease covers; <= 0 selects
-	// 16. Leases slice each home backend's cells in job order, so a
+	// DefaultLeaseCells. Leases slice each home backend's cells in job order, so a
 	// lease stays within a stretch of one configuration's benchmark row
 	// — the same locality the local harness's scheduling blocks exploit.
 	LeaseCells int
@@ -71,13 +72,17 @@ type SchedulerOptions struct {
 	Tracer *telemetry.Tracer
 }
 
+// DefaultLeaseCells is the lease size a zero SchedulerOptions.LeaseCells
+// selects.
+const DefaultLeaseCells = 16
+
 func (o SchedulerOptions) withDefaults() SchedulerOptions {
 	if o.Seed == nil {
 		s := int64(42)
 		o.Seed = &s
 	}
 	if o.LeaseCells <= 0 {
-		o.LeaseCells = 16
+		o.LeaseCells = DefaultLeaseCells
 	}
 	if o.LeaseExpiry <= 0 {
 		o.LeaseExpiry = 2 * time.Second
@@ -110,8 +115,8 @@ func (o SchedulerOptions) withDefaults() SchedulerOptions {
 }
 
 // Scheduler is the pull-based work-stealing coordinator. Every cell of
-// a run has a home backend, chosen by the same rendezvous routing
-// Cluster uses, and each home's cells are sliced into leases.
+// a run has a home backend, chosen by rendezvous routing (Router), and
+// each home's cells are sliced into leases.
 // Per-backend pullers take their own home's leases front to back, so a
 // repeated cell lands on the backend whose cache already holds it; a
 // puller whose home is drained takes another home's last idle lease,
@@ -121,9 +126,11 @@ func (o SchedulerOptions) withDefaults() SchedulerOptions {
 // past LeaseExpiry is stolen by an idle backend — first result per
 // cell wins, duplicates are discarded — so a straggler or a mid-stream
 // death costs only the unfinished remainder of its lease, never
-// completed cells. Like Cluster it satisfies the harness.MeasureBatch
-// contract with bit-identical results — scheduling is invisible under
-// the determinism contract.
+// completed cells. A failed lease goes back to idle and is re-dispatched
+// to whichever backend pulls next, so retries and failover are one
+// mechanism. It satisfies the harness.MeasureBatch contract with
+// bit-identical results — scheduling is invisible under the
+// determinism contract.
 type Scheduler struct {
 	opts     SchedulerOptions
 	seed     int64
@@ -613,6 +620,30 @@ func (s *Scheduler) streamLease(ctx context.Context, c *Client, r *run, l *lease
 	})
 }
 
+// cellRequest renders a job as an explicit wire cell.
+func cellRequest(j harness.Job) service.CellRequest {
+	cfg := j.CP.Config
+	return service.CellRequest{
+		Benchmark: j.Bench.Name,
+		Processor: j.CP.Proc.Name,
+		Config: &service.ConfigJSON{
+			Cores: cfg.Cores, SMTWays: cfg.SMTWays, ClockGHz: cfg.ClockGHz, Turbo: cfg.Turbo,
+		},
+	}
+}
+
+// jitteredBackoff is the delay before retry attempt (1-based): an
+// exponential base capped at max, with full jitter on the upper half so
+// retry waves never synchronize across pullers while the exponential
+// floor is preserved.
+func jitteredBackoff(base, max time.Duration, attempt int) time.Duration {
+	d := base << (attempt - 1)
+	if d > max || d <= 0 {
+		d = max
+	}
+	return d/2 + time.Duration(rand.Int63n(int64(d/2)+1))
+}
+
 // Reference builds the Section 2.6 normalization table from scheduled
 // measurements — bit-identical to a local harness.Reference() at the
 // same seed, because both build it through harness.ReferenceFrom.
@@ -620,12 +651,24 @@ func (s *Scheduler) Reference(ctx context.Context, workers int) (*harness.Refere
 	return harness.ReferenceFrom(ctx, s, workers)
 }
 
-// ProbeHealth hits every backend's /healthz once and feeds the
-// breakers, exactly like Cluster.ProbeHealth: failures accumulate
-// toward the breaker threshold, a healthy answer closes the breaker
-// and readmits a recovered backend's pullers.
+// ProbeHealth hits every backend's /healthz once, concurrently, and
+// feeds the breakers: failures accumulate toward the breaker threshold,
+// a healthy answer closes the breaker and readmits a recovered
+// backend's pullers.
 func (s *Scheduler) ProbeHealth(ctx context.Context) {
-	probeBackends(ctx, s.clients, s.breakers)
+	var wg sync.WaitGroup
+	for be, c := range s.clients {
+		wg.Add(1)
+		go func(be string, c *Client) {
+			defer wg.Done()
+			if err := c.Healthz(ctx); err != nil && ctx.Err() == nil {
+				s.breakers[be].Failure()
+			} else if err == nil {
+				s.breakers[be].Success()
+			}
+		}(be, c)
+	}
+	wg.Wait()
 }
 
 // StartProber probes health on the given interval until ctx is done.
@@ -642,6 +685,24 @@ func (s *Scheduler) StartProber(ctx context.Context, interval time.Duration) {
 			}
 		}
 	}()
+}
+
+// BackendStats is one backend's resilience state plus its measured
+// request-latency distribution (from the scheduler's vantage point:
+// queueing, network, and backend compute together).
+type BackendStats struct {
+	URL      string  `json:"url"`
+	State    string  `json:"breaker_state"`
+	Opens    int64   `json:"breaker_opens"`
+	Requests int64   `json:"requests"`
+	P50Ms    float64 `json:"latency_p50_ms"`
+	P90Ms    float64 `json:"latency_p90_ms"`
+	P99Ms    float64 `json:"latency_p99_ms"`
+
+	// SLO attribution: resilience interventions charged against this
+	// backend.
+	StolenFrom    int64 `json:"stolen_from,omitempty"`
+	LeaseFailures int64 `json:"lease_failures,omitempty"`
 }
 
 // SchedulerStats is the scheduler-side counter snapshot.
@@ -694,7 +755,7 @@ func (s *Scheduler) Stats() SchedulerStats {
 }
 
 // WriteMetrics renders the scheduler counters in the Prometheus text
-// exposition format, the work-stealing sibling of Cluster.WriteMetrics.
+// exposition format, the client-side sibling of powerperfd's /metricsz.
 func (s *Scheduler) WriteMetrics(w io.Writer) {
 	st := s.Stats()
 	var b strings.Builder
@@ -739,6 +800,9 @@ func (s *Scheduler) WriteMetrics(w io.Writer) {
 	perBackend("powerperf_sched_lease_failures_total",
 		"Lease dispatches this holder failed.",
 		func(be BackendStats) int64 { return be.LeaseFailures })
+	// The process-global histogram families follow the counters: in a
+	// coordinator process that includes the per-backend request-latency
+	// distributions the clients record.
 	telemetry.Default.WritePrometheus(&b)
 	_, _ = io.WriteString(w, b.String())
 }

@@ -82,7 +82,8 @@ func TestSchedulerMatchesLocalHarness(t *testing.T) {
 // streams — and the work-stealing study still produces CSVs byte-
 // identical to the committed seed-42 dataset. Completed cells are
 // never re-run: a re-dispatched or stolen lease requests only the
-// cells not yet delivered.
+// cells not yet delivered. The death trips the victim's breaker and is
+// attributed to it, and the resilience counters are scrapeable.
 func TestSchedulerStudyByteIdenticalUnderChaos(t *testing.T) {
 	var victim *chaoshttp.Proxy
 	var victimFront *httptest.Server
@@ -155,6 +156,16 @@ func TestSchedulerStudyByteIdenticalUnderChaos(t *testing.T) {
 	}
 	if st.Redispatches+st.Steals == 0 {
 		t.Errorf("expected the killed backend's leases to be re-dispatched or stolen; stats %+v", st)
+	}
+	if st.BreakerOpens == 0 {
+		t.Errorf("expected the dead backend's breaker to open, got 0 opens; stats %+v", st)
+	}
+	// The death is charged to the victim: its failed lease dispatches
+	// are what the survivors re-ran.
+	for _, be := range st.Backends {
+		if be.URL == f0.URL && be.LeaseFailures == 0 {
+			t.Errorf("killed backend %s shows no lease failures; stats %+v", be.URL, st)
+		}
 	}
 	if pst := p2.Stats(); pst.Truncated == 0 {
 		t.Logf("note: the truncating proxy never fired (%+v)", pst)
@@ -533,5 +544,82 @@ func TestSchedulerDeadHomeDrains(t *testing.T) {
 		if be.URL == dead.URL && be.LeaseFailures == 0 {
 			t.Error("dead backend was never tried")
 		}
+	}
+}
+
+// TestClusterBreakerFedByHealthz verifies the /healthz prober trips an
+// unhealthy backend's breaker, the whole batch completes on the good
+// backend while it is open, and a healthy probe closes it again.
+func TestClusterBreakerFedByHealthz(t *testing.T) {
+	_, good, _ := newBackend(t, service.Options{Seed: 42})
+	var healthy atomic.Bool
+	sick := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if healthy.Load() {
+			w.WriteHeader(http.StatusOK)
+			return
+		}
+		w.WriteHeader(http.StatusServiceUnavailable)
+	}))
+	t.Cleanup(sick.Close)
+
+	s, err := NewScheduler([]string{good.URL, sick.URL}, SchedulerOptions{
+		Seed:             seedPtr(42),
+		BreakerThreshold: 2,
+		BreakerCooldown:  time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	s.ProbeHealth(ctx)
+	s.ProbeHealth(ctx)
+
+	backend := func(url string) BackendStats {
+		for _, b := range s.Stats().Backends {
+			if b.URL == url {
+				return b
+			}
+		}
+		t.Fatalf("no stats for backend %s", url)
+		return BackendStats{}
+	}
+	if b := backend(sick.URL); b.State != "open" {
+		t.Fatalf("sick backend breaker state %q, want open; stats %+v", b.State, s.Stats())
+	}
+	if st := s.Stats(); st.BreakerOpens == 0 {
+		t.Fatalf("expected breaker opens from health probes, got 0")
+	}
+
+	// With the breaker open, the whole batch runs on the good backend:
+	// the sick backend's pullers never claim a lease, and the good one
+	// takes the sick backend's home too.
+	jobs := stockJobs(t, 1)
+	ms, err := s.MeasureBatch(ctx, jobs, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ms) != len(jobs) {
+		t.Fatalf("got %d measurements, want %d", len(ms), len(jobs))
+	}
+	sickHome := 0
+	for _, j := range jobs {
+		if s.router.RouteJob(42, j) == sick.URL {
+			sickHome++
+		}
+	}
+	st := s.Stats()
+	if sickHome == 0 || st.CellsMeasured != int64(len(jobs)) || st.CellsAway != int64(sickHome) {
+		t.Fatalf("cells_measured = %d (away %d), want all %d with the sick backend's %d away",
+			st.CellsMeasured, st.CellsAway, len(jobs), sickHome)
+	}
+	if b := backend(sick.URL); b.LeaseFailures != 0 || b.State != "open" {
+		t.Fatalf("open breaker let traffic through: %+v", b)
+	}
+
+	// Recovery: a healthy probe closes the breaker.
+	healthy.Store(true)
+	s.ProbeHealth(ctx)
+	if b := backend(sick.URL); b.State != "closed" {
+		t.Fatalf("recovered backend breaker state %q, want closed", b.State)
 	}
 }

@@ -1,9 +1,7 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -11,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/service"
-	"repro/internal/telemetry"
 )
 
 // ErrStreamTruncated marks a measure stream that ended without a
@@ -31,49 +28,18 @@ var ErrStreamTruncated = errors.New("cluster: measure stream truncated")
 // back as a backend error. An onCell error aborts the stream and is
 // returned as-is.
 //
-// The exchange's wall time feeds the backend's latency histogram like
-// a batched Measure, so streamed and batched traffic share one
-// distribution per backend.
+// The exchange's wall time, success or failure, feeds the backend's
+// latency histogram.
 func (c *Client) MeasureStream(ctx context.Context, req *service.MeasureRequest, onCell func(sc *service.StreamCell) error) error {
-	if c.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.timeout)
-		defer cancel()
-	}
-	buf, err := json.Marshal(req)
-	if err != nil {
-		return fmt.Errorf("cluster: marshal request: %w", err)
-	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/measure?stream=1", bytes.NewReader(buf))
-	if err != nil {
-		return fmt.Errorf("cluster: build request: %w", err)
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	hreq.Header.Set("User-Agent", userAgent)
-	telemetry.InjectHeaders(ctx, hreq.Header)
-
+	ctx, cancel := c.withTimeout(ctx)
+	defer cancel()
 	start := time.Now()
 	defer func() { c.lat.Observe(time.Since(start)) }()
-	resp, err := c.hc.Do(hreq)
+	resp, err := c.do(ctx, http.MethodPost, "/v1/measure?stream=1", req)
 	if err != nil {
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return ctxErr
-		}
-		return &backendError{Backend: c.base, Msg: err.Error()}
+		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg := resp.Status
-		var eb struct {
-			Error string `json:"error"`
-		}
-		if b, err := io.ReadAll(io.LimitReader(resp.Body, 4096)); err == nil {
-			if json.Unmarshal(b, &eb) == nil && eb.Error != "" {
-				msg = eb.Error
-			}
-		}
-		return &backendError{Backend: c.base, Status: resp.StatusCode, Msg: msg}
-	}
 
 	dec := service.NewStreamDecoder(resp.Body)
 	delivered := 0

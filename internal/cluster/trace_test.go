@@ -10,18 +10,19 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/service"
 	"repro/internal/telemetry"
 )
 
 // TestCoordinatorTraceStitchesAcrossBackends is the observability
-// acceptance test: a 2-backend study batch with one injected backend
-// failure produces a single coordinator-side trace containing the
-// batch root, routing, per-attempt spans, and at least one retry
-// (backoff) span — and each backend that served requests retains
-// server-side spans under the same trace id, parented to coordinator
-// attempt spans, fetchable from its /v1/traces endpoint.
+// acceptance test: a 2-backend scheduled batch with one injected
+// backend failure produces a single scheduler-side trace containing the
+// batch root and per-lease spans, at least one of them the
+// re-dispatch of the failed lease — and each backend that served
+// requests retains server-side spans under the same trace id, parented
+// to scheduler lease spans, fetchable from its /v1/traces endpoint.
 func TestCoordinatorTraceStitchesAcrossBackends(t *testing.T) {
 	var failOnce atomic.Bool
 	failOnce.Store(true)
@@ -35,50 +36,58 @@ func TestCoordinatorTraceStitchesAcrossBackends(t *testing.T) {
 	_, ts2, _ := newBackend(t, service.Options{Seed: 42})
 
 	tr := telemetry.NewTracer(4096)
-	cl, err := New([]string{ts1.URL, ts2.URL}, Options{Seed: seedPtr(42), Tracer: tr})
+	s, err := NewScheduler([]string{ts1.URL, ts2.URL}, SchedulerOptions{
+		Seed: seedPtr(42), Tracer: tr, BackoffBase: time.Millisecond, BackoffMax: 10 * time.Millisecond,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	jobs := stockJobs(t, 6)
-	if _, err := cl.MeasureBatch(context.Background(), jobs, 0); err != nil {
+	if _, err := s.MeasureBatch(context.Background(), jobs, 0); err != nil {
 		t.Fatal(err)
 	}
 
-	// Coordinator side: one trace rooted at cluster.MeasureBatch holding
-	// every decision span.
+	// Scheduler side: one trace rooted at scheduler.MeasureBatch holding
+	// every lease span.
 	spans := tr.Snapshot()
 	byName := map[string]int{}
-	attemptIDs := map[string]bool{}
+	kinds := map[string]int{}
+	leaseIDs := map[string]bool{}
 	var trace telemetry.TraceID
-	for _, s := range spans {
-		byName[s.Name]++
-		switch s.Name {
-		case "cluster.MeasureBatch":
-			trace = s.Trace
-		case "cluster.attempt":
-			attemptIDs[s.ID.String()] = true
+	for _, sp := range spans {
+		byName[sp.Name]++
+		switch sp.Name {
+		case "scheduler.MeasureBatch":
+			trace = sp.Trace
+		case "scheduler.lease":
+			leaseIDs[sp.ID.String()] = true
+			for _, a := range sp.Attrs {
+				if a.Key == "kind" {
+					kinds[a.Value]++
+				}
+			}
 		}
 	}
-	if byName["cluster.MeasureBatch"] != 1 {
-		t.Fatalf("want exactly one batch root span, got %d (spans: %v)", byName["cluster.MeasureBatch"], byName)
+	if byName["scheduler.MeasureBatch"] != 1 {
+		t.Fatalf("want exactly one batch root span, got %d (spans: %v)", byName["scheduler.MeasureBatch"], byName)
 	}
-	if byName["cluster.route"] == 0 || byName["cluster.attempt"] == 0 {
-		t.Fatalf("missing routing/attempt spans: %v", byName)
+	if byName["scheduler.lease"] == 0 || kinds["first"] == 0 {
+		t.Fatalf("missing first-dispatch lease spans: %v (kinds %v)", byName, kinds)
 	}
-	if byName["cluster.backoff"] == 0 {
-		t.Fatalf("injected fault produced no retry (cluster.backoff) span: %v", byName)
+	if kinds["redispatch"] == 0 {
+		t.Fatalf("injected fault produced no kind=redispatch lease span: kinds %v", kinds)
 	}
-	if st := cl.Stats(); st.Retries == 0 {
-		t.Fatalf("stats recorded no retries: %+v", st)
+	if st := s.Stats(); st.Redispatches == 0 || st.DispatchFailures == 0 {
+		t.Fatalf("stats recorded no failed dispatch and re-dispatch: %+v", st)
 	}
-	for _, s := range spans {
-		if s.Trace != trace {
-			t.Fatalf("span %s is in trace %s, want all coordinator spans in %s", s.Name, s.Trace, trace)
+	for _, sp := range spans {
+		if sp.Trace != trace {
+			t.Fatalf("span %s is in trace %s, want all scheduler spans in %s", sp.Name, sp.Trace, trace)
 		}
 	}
 
 	// Backend side: each backend that served requests retains spans under
-	// the coordinator's trace id, parented to a coordinator attempt span.
+	// the scheduler's trace id, parented to a scheduler lease span.
 	served := 0
 	for _, url := range []string{ts1.URL, ts2.URL} {
 		events := fetchTrace(t, url, trace)
@@ -91,8 +100,8 @@ func TestCoordinatorTraceStitchesAcrossBackends(t *testing.T) {
 			if args["trace_id"] != trace.String() {
 				t.Fatalf("backend %s returned a span outside the filter: %v", url, ev)
 			}
-			if ev["name"] == "http.measure" && !attemptIDs[fmt.Sprint(args["parent_id"])] {
-				t.Fatalf("backend %s http.measure span parent %v is not a coordinator attempt span",
+			if ev["name"] == "http.measure" && !leaseIDs[fmt.Sprint(args["parent_id"])] {
+				t.Fatalf("backend %s http.measure span parent %v is not a scheduler lease span",
 					url, args["parent_id"])
 			}
 		}
@@ -106,12 +115,12 @@ func TestCoordinatorTraceStitchesAcrossBackends(t *testing.T) {
 		}
 	}
 	if served == 0 {
-		t.Fatal("no backend retained spans for the coordinator's trace")
+		t.Fatal("no backend retained spans for the scheduler's trace")
 	}
 
 	// Per-backend latency distributions surface in Stats once requests
-	// have flowed (satellite: client histograms).
-	st := cl.Stats()
+	// have flowed.
+	st := s.Stats()
 	sawRequests := false
 	for _, be := range st.Backends {
 		if be.Requests > 0 {
@@ -126,20 +135,20 @@ func TestCoordinatorTraceStitchesAcrossBackends(t *testing.T) {
 	}
 }
 
-// TestWriteMetricsLintsClean lints the coordinator's Prometheus page —
+// TestWriteMetricsLintsClean lints the scheduler's Prometheus page —
 // counters, breaker gauges, and the appended histogram families — with
 // the same linter that guards powerperfd's /metricsz.
 func TestWriteMetricsLintsClean(t *testing.T) {
 	_, ts, _ := newBackend(t, service.Options{Seed: 42})
-	cl, err := New([]string{ts.URL}, Options{Seed: seedPtr(42)})
+	s, err := NewScheduler([]string{ts.URL}, SchedulerOptions{Seed: seedPtr(42)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.MeasureBatch(context.Background(), stockJobs(t, 1)[:3], 0); err != nil {
+	if _, err := s.MeasureBatch(context.Background(), stockJobs(t, 1)[:3], 0); err != nil {
 		t.Fatal(err)
 	}
 	var buf strings.Builder
-	cl.WriteMetrics(&buf)
+	s.WriteMetrics(&buf)
 	text := buf.String()
 	if problems := telemetry.LintPrometheus(text); len(problems) != 0 {
 		t.Fatalf("WriteMetrics fails Prometheus lint:\n%s\n--- page ---\n%s",
@@ -172,7 +181,7 @@ func fetchTrace(t *testing.T, baseURL string, trace telemetry.TraceID) []map[str
 }
 
 // TestClientSetsUserAgentAndPropagatesHeaders pins the wire contract:
-// every coordinator request identifies itself and carries the active
+// every scheduler request identifies itself and carries the active
 // span's trace headers.
 func TestClientSetsUserAgentAndPropagatesHeaders(t *testing.T) {
 	var gotUA, gotTrace, gotParent atomic.Value
@@ -189,11 +198,11 @@ func TestClientSetsUserAgentAndPropagatesHeaders(t *testing.T) {
 	t.Cleanup(ts.Close)
 
 	tr := telemetry.NewTracer(64)
-	cl, err := New([]string{ts.URL}, Options{Seed: seedPtr(42), Tracer: tr})
+	s, err := NewScheduler([]string{ts.URL}, SchedulerOptions{Seed: seedPtr(42), Tracer: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.MeasureBatch(context.Background(), stockJobs(t, 1)[:2], 0); err != nil {
+	if _, err := s.MeasureBatch(context.Background(), stockJobs(t, 1)[:2], 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -210,12 +219,12 @@ func TestClientSetsUserAgentAndPropagatesHeaders(t *testing.T) {
 	}
 	spans := tr.Snapshot()
 	ok := false
-	for _, s := range spans {
-		if s.Trace.String() == traceHdr && s.Name == "cluster.attempt" && s.ID.String() == parentHdr {
+	for _, sp := range spans {
+		if sp.Trace.String() == traceHdr && sp.Name == "scheduler.lease" && sp.ID.String() == parentHdr {
 			ok = true
 		}
 	}
 	if !ok {
-		t.Fatalf("propagated headers (trace=%s parent=%s) do not name a coordinator attempt span", traceHdr, parentHdr)
+		t.Fatalf("propagated headers (trace=%s parent=%s) do not name a scheduler lease span", traceHdr, parentHdr)
 	}
 }

@@ -31,7 +31,7 @@ var AggregatesHeader = []string{
 func fmtG(v float64) string { return fmt.Sprintf("%.6g", v) }
 
 // Source is a measurement provider for the dataset streamers: the local
-// harness satisfies it directly, and the cluster coordinator satisfies
+// harness satisfies it directly, and the cluster scheduler satisfies
 // it over HTTP. The determinism contract makes the two interchangeable —
 // both return bit-identical measurements for the same cells, so the
 // streamed CSVs are byte-identical regardless of the source.

@@ -271,7 +271,7 @@ func findFamily(fams []telemetry.MetricFamily, name string) *telemetry.MetricFam
 }
 
 // TestAlertLifecycleOnBackendDeath is the acceptance test: a 3-backend
-// fleet runs a study through the cluster coordinator while the monitor
+// fleet runs a study through the cluster scheduler while the monitor
 // federates it; one backend is killed mid-study, the backend_down rule
 // walks pending→firing on /v1/alertz (served by a surviving powerperfd
 // via AttachMonitor), and after revival it resolves — with the
@@ -313,9 +313,8 @@ func TestAlertLifecycleOnBackendDeath(t *testing.T) {
 	defer cancel()
 	mon.Start(ctx)
 
-	cl, err := cluster.New([]string{ts0.URL, ts1.URL, ts2.URL}, cluster.Options{
+	sched, err := cluster.NewScheduler([]string{ts0.URL, ts1.URL, ts2.URL}, cluster.SchedulerOptions{
 		Seed:             seedPtr(42),
-		MaxAttempts:      3,
 		BackoffBase:      5 * time.Millisecond,
 		BackoffMax:       50 * time.Millisecond,
 		BreakerThreshold: 3,
@@ -328,7 +327,7 @@ func TestAlertLifecycleOnBackendDeath(t *testing.T) {
 	jobs := harness.GridJobs(cps[:6], nil)
 	studyDone := make(chan error, 1)
 	go func() {
-		_, err := cl.MeasureBatch(ctx, jobs, 0)
+		_, err := sched.MeasureBatch(ctx, jobs, 0)
 		studyDone <- err
 	}()
 
@@ -376,7 +375,8 @@ func TestAlertLifecycleOnBackendDeath(t *testing.T) {
 		t.Fatalf("victim was never killed (cells=%d)", victimCells.Load())
 	}
 
-	// The study must still complete correctly: failover absorbs the death.
+	// The study must still complete correctly: lease re-dispatch absorbs
+	// the death.
 	if err := <-studyDone; err != nil {
 		t.Fatalf("study failed during backend death: %v", err)
 	}
@@ -404,7 +404,7 @@ func TestAlertLifecycleOnBackendDeath(t *testing.T) {
 
 // TestCSVBytesUnchangedByMonitoring is the golden guard: with the
 // scrape loop and detector running against live backends, a full
-// seed-42 study through the cluster still produces CSVs byte-identical
+// seed-42 study through the scheduler still produces CSVs byte-identical
 // to the committed dataset — observation must not perturb measurement.
 func TestCSVBytesUnchangedByMonitoring(t *testing.T) {
 	if testing.Short() {
@@ -423,19 +423,19 @@ func TestCSVBytesUnchangedByMonitoring(t *testing.T) {
 	defer cancel()
 	mon.Start(ctx)
 
-	cl, err := cluster.New([]string{ts0.URL, ts1.URL}, cluster.Options{Seed: seedPtr(42)})
+	sched, err := cluster.NewScheduler([]string{ts0.URL, ts1.URL}, cluster.SchedulerOptions{Seed: seedPtr(42)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := cl.Reference(ctx, 0)
+	ref, err := sched.Reference(ctx, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var mbuf, abuf bytes.Buffer
-	if err := experiments.StreamMeasurementsCSVFrom(ctx, cl, ref, nil, &mbuf, 0); err != nil {
+	if err := experiments.StreamMeasurementsCSVFrom(ctx, sched, ref, nil, &mbuf, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := experiments.StreamAggregatesCSVFrom(ctx, cl, ref, nil, &abuf, 0); err != nil {
+	if err := experiments.StreamAggregatesCSVFrom(ctx, sched, ref, nil, &abuf, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -510,4 +510,51 @@ func TestMonitorUserAgent(t *testing.T) {
 	if got != want {
 		t.Fatalf("scrape User-Agent %q, want %q", got, want)
 	}
+}
+
+// TestBreakerRuleWatchesSchedulerSeries pins the default breaker_opening
+// rule to a series the scheduler really renders: a breaker tripped by
+// two failed /healthz probes must show up on the scheduler's metrics
+// page under exactly the rule's series name, with a nonzero value.
+func TestBreakerRuleWatchesSchedulerSeries(t *testing.T) {
+	sick := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusServiceUnavailable)
+	}))
+	defer sick.Close()
+	sched, err := cluster.NewScheduler([]string{sick.URL}, cluster.SchedulerOptions{
+		Seed:             seedPtr(42),
+		BreakerThreshold: 2,
+		BreakerCooldown:  time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched.ProbeHealth(context.Background())
+	sched.ProbeHealth(context.Background())
+
+	var rule *monitor.Rule
+	for _, r := range monitor.DefaultRules() {
+		if r.Name == "breaker_opening" {
+			rule = &r
+		}
+	}
+	if rule == nil {
+		t.Fatal("default rulebook has no breaker_opening rule")
+	}
+	var page strings.Builder
+	sched.WriteMetrics(&page)
+	fams, err := telemetry.ParsePrometheus(page.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range fams {
+		if f.Name != rule.Series {
+			continue
+		}
+		if len(f.Samples) != 1 || f.Samples[0].Value <= 0 {
+			t.Fatalf("%s samples %+v, want one sample > 0 after a tripped breaker", f.Name, f.Samples)
+		}
+		return
+	}
+	t.Fatalf("breaker_opening watches %q, which the scheduler's metrics page does not render", rule.Series)
 }

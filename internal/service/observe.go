@@ -94,7 +94,7 @@ func monitoringPlane(family string) bool {
 
 // observe wraps the API mux with the daemon's request telemetry: a
 // server span per request (adopting X-Trace-Id/X-Parent-Span so a
-// cluster coordinator's trace stitches through), the per-endpoint
+// cluster scheduler's trace stitches through), the per-endpoint
 // latency histogram, and one structured access line per request.
 // Monitoring-plane endpoints are exempt from spans (see
 // monitoringPlane).

@@ -45,7 +45,7 @@ func chromeEvents(t *testing.T, body []byte) []map[string]any {
 }
 
 // TestTracesEndpointStitchesCallerTrace drives the daemon the way the
-// cluster coordinator does — a measure request carrying X-Trace-Id and
+// cluster scheduler does — a measure request carrying X-Trace-Id and
 // X-Parent-Span — and asserts /v1/traces returns the server's spans
 // under the caller's trace id with the caller's span as parent.
 func TestTracesEndpointStitchesCallerTrace(t *testing.T) {

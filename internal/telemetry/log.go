@@ -9,7 +9,7 @@ import (
 )
 
 // Structured logging: every subsystem (powerperfd, fullstudy, the
-// cluster coordinator) logs through one shared handler so lines carry a
+// cluster scheduler) logs through one shared handler so lines carry a
 // uniform shape — level, subsystem, message, fields — and any record
 // emitted under a traced context automatically carries its trace_id,
 // joining logs to spans.

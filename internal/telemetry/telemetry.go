@@ -5,8 +5,8 @@
 //
 // The package exists for the same reason the paper's rig pairs every
 // benchmark run with a 50 Hz power logger: averages hide phase
-// structure. A sharded study that retries, hedges, and fails over is
-// opaque unless every decision is timestamped and attributable, so the
+// structure. A distributed study that steals and re-dispatches leases
+// is opaque unless every decision is timestamped and attributable, so the
 // tracer records where a slow study spent its time and the histograms
 // record the full latency distribution, not just means.
 //
@@ -23,7 +23,7 @@ import (
 )
 
 // TraceID identifies one request tree end to end, across processes:
-// the cluster coordinator mints it and backends adopt it from the
+// the cluster scheduler mints it and backends adopt it from the
 // X-Trace-Id header, so backend spans stitch into the coordinator's
 // trace.
 type TraceID uint64

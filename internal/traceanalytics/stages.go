@@ -12,8 +12,7 @@ const (
 	StageKernel      = "kernel_compute"    // service.cell that filled (kernel measure)
 	StageLease       = "lease_acquisition" // scheduler.lease, first dispatch
 	StageSteal       = "steal_redispatch"  // scheduler.lease, stolen or re-dispatched
-	StageHedgeWait   = "hedge_wait"        // cluster.hedge: duplicate racing a straggler
-	StageNetwork     = "network"           // cluster transport + http serving overhead
+	StageNetwork     = "network"           // scheduler batch root + http serving overhead
 	StageIngest      = "ingest"            // service.ingest: durable study commit
 	StageOther       = "other"             // everything else, incl. assembly gaps
 )
@@ -24,7 +23,7 @@ const (
 func Stages() []string {
 	return []string{
 		StageQueueWait, StageCacheLookup, StageKernel, StageLease,
-		StageSteal, StageHedgeWait, StageNetwork, StageIngest, StageOther,
+		StageSteal, StageNetwork, StageIngest, StageOther,
 	}
 }
 
@@ -48,11 +47,7 @@ func StageOf(s Span) string {
 		default:
 			return StageLease
 		}
-	case "cluster.hedge":
-		return StageHedgeWait
-	case "cluster.attempt", "cluster.route", "cluster.failover",
-		"cluster.backoff", "cluster.breaker_open",
-		"cluster.MeasureBatch", "scheduler.MeasureBatch":
+	case "scheduler.MeasureBatch":
 		return StageNetwork
 	}
 	if strings.HasPrefix(s.Name, "http.") {

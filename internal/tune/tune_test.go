@@ -5,29 +5,30 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestPointsDeterministicCrossProduct(t *testing.T) {
 	g := Grid{
 		Workers:     []int{1, 2},
-		CacheShards: []int{4},
+		CacheShards: []int{4, 16},
 		BatchSizes:  []int{8, 61},
-		HedgeDelays: []time.Duration{0, time.Millisecond},
 	}
 	a, b := g.Points(), g.Points()
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("Points is not deterministic")
 	}
-	if len(a) != 2*1*2*2 {
+	if len(a) != 2*2*2 {
 		t.Fatalf("got %d points, want 8", len(a))
 	}
-	// Axis-major order: workers outermost, hedge delay innermost.
-	want0 := Point{Workers: 1, CacheShards: 4, BatchSize: 8, HedgeDelay: 0}
+	// Axis-major order: workers outermost, batch size innermost.
+	want0 := Point{Workers: 1, CacheShards: 4, BatchSize: 8}
 	if a[0] != want0 {
 		t.Fatalf("first point %+v, want %+v", a[0], want0)
 	}
-	wantLast := Point{Workers: 2, CacheShards: 4, BatchSize: 61, HedgeDelay: time.Millisecond}
+	if want1 := (Point{Workers: 1, CacheShards: 4, BatchSize: 61}); a[1] != want1 {
+		t.Fatalf("second point %+v, want %+v", a[1], want1)
+	}
+	wantLast := Point{Workers: 2, CacheShards: 16, BatchSize: 61}
 	if a[len(a)-1] != wantLast {
 		t.Fatalf("last point %+v, want %+v", a[len(a)-1], wantLast)
 	}
@@ -55,6 +56,26 @@ func TestSelectKneePrefersFrugalWithinTolerance(t *testing.T) {
 	}
 	if knee.Point.Workers != 2 {
 		t.Fatalf("knee picked workers=%d, want the frugal in-tolerance point (2)", knee.Point.Workers)
+	}
+}
+
+// TestZeroBatchResolvesToLeaseDefault: BatchSize 0 means the
+// scheduler's default lease (16 cells), so a zero-batch knee must
+// render as -batch-size 16 and rank as 16 cells, not as a 61-cell
+// batch.
+func TestZeroBatchResolvesToLeaseDefault(t *testing.T) {
+	rep := &Report{Knee: Point{}}
+	if got, want := rep.FullstudyFlags(), "-batch-size 16"; got != want {
+		t.Fatalf("zero-batch knee renders %q, want %q", got, want)
+	}
+	if got, want := rep.Env()[2], "POWERPERF_BATCH_SIZE=16"; got != want {
+		t.Fatalf("zero-batch knee env %q, want %q", got, want)
+	}
+	if !cheaper(Point{BatchSize: 0}, Point{BatchSize: 32}) {
+		t.Fatal("default batch (16) ranked costlier than 32")
+	}
+	if !cheaper(Point{BatchSize: 8}, Point{BatchSize: 0}) {
+		t.Fatal("8-cell batch ranked costlier than the default (16)")
 	}
 }
 
@@ -115,7 +136,7 @@ func TestRunSweepsAndSelects(t *testing.T) {
 	if !strings.Contains(rep.FullstudyFlags(), "-batch-size") {
 		t.Fatalf("bad fullstudy flags: %q", rep.FullstudyFlags())
 	}
-	if len(rep.Env()) != 4 {
-		t.Fatalf("Env emitted %d entries, want 4", len(rep.Env()))
+	if len(rep.Env()) != 3 {
+		t.Fatalf("Env emitted %d entries, want 3", len(rep.Env()))
 	}
 }
