@@ -22,11 +22,12 @@
 //	GET  /v1/dataset            measurements.csv (?table=aggregates for the other file)
 //	GET  /v1/traces             recent request spans, Chrome trace-event JSON
 //	GET  /healthz               liveness; 503 while draining
-//	GET  /statsz                cache hit rate, shard occupancy, queue depth
-//	GET  /metricsz              counters + latency histograms, Prometheus text
+//	GET  /metricsz              seed, build, cache, queue, request and store counters,
+//	                            latency histograms, SLO gauges; Prometheus text
 //	GET  /v1/sloz               SLO budgets and burn-rate alerts (default on; -slo=false)
 //	GET  /debug/pprof/*         live profiling (only with -pprof)
 //	GET  /v1/alertz             fleet alerts, JSON (only with -monitor-backends)
+//	GET  /v1/traceview          assembled fleet traces (only with -monitor-backends)
 //	GET  /debug/dashboard       HTML fleet dashboard (only with -monitor-backends)
 //	GET  /v1/studies[/...]      persistent study store query API (only with -store-dir)
 //
@@ -144,11 +145,14 @@ func main() {
 
 	if *monBackends != "" {
 		// Fleet monitoring: scrape the named backends (or this daemon
-		// itself via 'self') and serve /v1/alertz + /debug/dashboard.
+		// itself via 'self') and serve the monitor's pages from the
+		// daemon's own mux, under its request telemetry.
 		targets := monitorTargets(*monBackends, *addr)
 		mon := monitor.New(targets, monitor.Options{Interval: *monInterval})
 		mon.Start(ctx)
-		srv.AttachMonitor(mon)
+		srv.Handle("GET /v1/alertz", mon.AlertzHandler())
+		srv.Handle("GET /v1/traceview", mon.TraceviewHandler())
+		srv.Handle("GET /debug/dashboard", mon.DashboardHandler())
 		logger.Info("monitoring", slog.Any("backends", targets),
 			slog.Duration("interval", *monInterval))
 	}

@@ -1,4 +1,4 @@
-package monitor
+package alert
 
 import (
 	"fmt"
@@ -62,13 +62,13 @@ const (
 	Below
 )
 
-// Rule is one detector rule, evaluated per backend per cycle against
+// Rule is one detector rule, evaluated per target per cycle against
 // one stored series.
 type Rule struct {
 	// Name identifies the rule in alerts, logs, and /v1/alertz.
 	Name string
-	// Series is the store key to evaluate (e.g. "up",
-	// "statsz_cache_hit_rate", or a full exposition key like
+	// Series is the series key to evaluate (e.g. "up",
+	// "powerperfd_cache_hit_rate", or a full exposition key like
 	// `powerperfd_http_request_seconds_mean{endpoint="measure"}`).
 	Series string
 	Kind   RuleKind
@@ -141,21 +141,27 @@ func (r Rule) withDefaults() Rule {
 	return r
 }
 
-// AlertState is an alert's position in the lifecycle.
+// AlertState is an alert's position in the lifecycle. The states are
+// declared in severity order, so the numeric value is the severity.
 type AlertState int
 
 const (
 	// StateInactive: the rule is quiet (alerts in this state are not
 	// reported).
 	StateInactive AlertState = iota
+	// StateResolved: previously firing, now clean; retained for
+	// post-mortem visibility until the retention horizon passes.
+	StateResolved
 	// StatePending: breached, but not yet For consecutive cycles.
 	StatePending
 	// StateFiring: breached For consecutive cycles.
 	StateFiring
-	// StateResolved: previously firing, now clean; retained for
-	// post-mortem visibility until the retention horizon passes.
-	StateResolved
 )
+
+// Severity ranks the state: 0 inactive, 1 resolved, 2 pending, 3
+// firing. It orders Detector.Alerts and is the value of the
+// slo_alert_state gauge, so AlertState(v) decodes a scraped gauge.
+func (s AlertState) Severity() int { return int(s) }
 
 func (s AlertState) String() string {
 	switch s {
@@ -169,6 +175,16 @@ func (s AlertState) String() string {
 		return "resolved"
 	}
 	return "unknown"
+}
+
+// StateOfSeverity decodes a scraped slo_alert_state gauge. Only whole
+// values from StateInactive to StateFiring are states; anything else
+// (another number, NaN, ±Inf) reports false.
+func StateOfSeverity(v float64) (AlertState, bool) {
+	if !(v >= float64(StateInactive) && v <= float64(StateFiring)) || v != float64(int(v)) {
+		return StateInactive, false
+	}
+	return AlertState(int(v)), true
 }
 
 // MarshalText renders the state for JSON payloads.
@@ -187,12 +203,13 @@ func (s *AlertState) UnmarshalText(text []byte) error {
 	case "resolved":
 		*s = StateResolved
 	default:
-		return fmt.Errorf("monitor: unknown alert state %q", text)
+		return fmt.Errorf("alert: unknown alert state %q", text)
 	}
 	return nil
 }
 
-// Alert is one rule's state against one backend.
+// Alert is one rule's state against one target (a backend URL for the
+// monitor, an objective name for the SLO engine).
 type Alert struct {
 	Rule    string     `json:"rule"`
 	Backend string     `json:"backend"`
@@ -212,21 +229,30 @@ type Alert struct {
 	cleanStreak  int
 }
 
-// Detector evaluates rules over the store each cycle and drives every
-// (rule, backend) alert through pending→firing→resolved, logging each
-// transition.
+// Detector owns a bounded per-target series store, evaluates rules
+// over it each cycle, and drives every (rule, target) alert through
+// pending→firing→resolved, logging each transition.
 type Detector struct {
 	rules     []Rule
-	store     *store
 	logger    *slog.Logger
 	retention time.Duration
 
+	// The series store: target -> series key -> ring. Both bounds are
+	// fixed at construction (see series.go).
+	seriesMu  sync.RWMutex
+	ringCap   int
+	maxSeries int
+	targets   map[string]*targetSeries
+
 	mu     sync.Mutex
-	alerts map[string]*Alert // rule|backend -> state
-	evals  int64
+	alerts map[string]*Alert // rule|target -> state
 }
 
-func newDetector(rules []Rule, st *store, logger *slog.Logger, retention time.Duration) *Detector {
+// NewDetector builds a detector for rules over its own series store:
+// ringCap bounds samples retained per series, maxSeries bounds series
+// per target, and retention is how long resolved alerts stay visible
+// (<= 0 selects 10m).
+func NewDetector(rules []Rule, ringCap, maxSeries int, retention time.Duration, logger *slog.Logger) *Detector {
 	withDefaults := make([]Rule, len(rules))
 	for i, r := range rules {
 		withDefaults[i] = r.withDefaults()
@@ -236,9 +262,11 @@ func newDetector(rules []Rule, st *store, logger *slog.Logger, retention time.Du
 	}
 	return &Detector{
 		rules:     withDefaults,
-		store:     st,
 		logger:    logger,
 		retention: retention,
+		ringCap:   ringCap,
+		maxSeries: maxSeries,
+		targets:   make(map[string]*targetSeries),
 		alerts:    make(map[string]*Alert),
 	}
 }
@@ -246,13 +274,12 @@ func newDetector(rules []Rule, st *store, logger *slog.Logger, retention time.Du
 // Rules returns the detector's rules (defaults applied).
 func (d *Detector) Rules() []Rule { return append([]Rule(nil), d.rules...) }
 
-// Evaluate runs every rule against every backend once. now stamps the
+// Evaluate runs every rule against every target once. now stamps the
 // transitions so tests can drive the clock.
-func (d *Detector) Evaluate(backends []string, now time.Time) {
+func (d *Detector) Evaluate(targets []string, now time.Time) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.evals++
-	for _, be := range backends {
+	for _, be := range targets {
 		for i := range d.rules {
 			d.evalRule(&d.rules[i], be, now)
 		}
@@ -266,9 +293,9 @@ func (d *Detector) Evaluate(backends []string, now time.Time) {
 }
 
 func (d *Detector) evalRule(r *Rule, backend string, now time.Time) {
-	samples := d.store.tail(backend, r.Series, r.MinSamples)
+	samples := d.Tail(backend, r.Series, r.MinSamples)
 	if len(samples) < r.MinSamples {
-		return // warmup or a series this backend does not expose
+		return // warmup or a series this target does not expose
 	}
 	breached, value, reason := judge(r, samples)
 	key := r.Name + "|" + backend
@@ -472,8 +499,8 @@ func abs(v float64) float64 {
 }
 
 // Alerts snapshots every live alert (pending, firing, or resolved),
-// firing first, then pending, then resolved, each group sorted by rule
-// then backend.
+// firing first, then pending, then resolved (by Severity), each group
+// sorted by rule then target.
 func (d *Detector) Alerts() []Alert {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -484,19 +511,9 @@ func (d *Detector) Alerts() []Alert {
 		}
 		out = append(out, *a)
 	}
-	rank := func(s AlertState) int {
-		switch s {
-		case StateFiring:
-			return 0
-		case StatePending:
-			return 1
-		default:
-			return 2
-		}
-	}
 	sort.Slice(out, func(i, j int) bool {
-		if ri, rj := rank(out[i].State), rank(out[j].State); ri != rj {
-			return ri < rj
+		if si, sj := out[i].State.Severity(), out[j].State.Severity(); si != sj {
+			return si > sj
 		}
 		if out[i].Rule != out[j].Rule {
 			return out[i].Rule < out[j].Rule

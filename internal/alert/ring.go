@@ -1,20 +1,15 @@
-// Package monitor is the fleet-watching subsystem: a scrape federation
-// loop that polls each backend's /metricsz, /statsz, and /healthz on a
-// jittered interval, fixed-size ring buffers holding the resulting time
-// series, and a detector that evaluates threshold and statistical rules
-// over them — the latter reusing internal/stats, so the system flags
-// its own regressions the way the paper flags measurement noise: with
-// confidence intervals, not vibes. Alerts move through a
-// pending→firing→resolved state machine and surface via slog,
-// GET /v1/alertz, the /debug/dashboard HTML page, and the powerperfmon
-// CLI.
+// Package alert is the alerting core shared by the fleet monitor and
+// the SLO engine: fixed-size ring buffers of time-series samples, a
+// bounded per-target series store, and a detector that evaluates
+// threshold and statistical rules over it — the latter reusing
+// internal/stats, so the system flags its own regressions the way the
+// paper flags measurement noise: with confidence intervals, not vibes.
+// Alerts move through a pending→firing→resolved state machine.
 //
-// The design budget follows Diamond et al. ("What Is the Cost of Energy
-// Monitoring?"): observation must be overhead-gated. Everything here is
-// bounded — rings are fixed-size, series per backend are capped, and
-// the scrape loop is measured by the monitored-vs-unmonitored study
-// benchmark (<2% wall-time overhead, recorded in BENCH_pr5.json).
-package monitor
+// It is a leaf: it knows nothing of scraping, HTTP, or dashboards.
+// The monitor pushes scraped series into a Detector; the SLO engine
+// pushes its burn rates into one of its own.
+package alert
 
 import "time"
 

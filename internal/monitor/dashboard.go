@@ -7,6 +7,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/alert"
 	"repro/internal/profiling"
 	"repro/internal/traceanalytics"
 )
@@ -14,7 +15,7 @@ import (
 // sparkline renders a series tail as an inline SVG polyline — no
 // scripts, no external assets, so the dashboard stays a single
 // self-contained response that works with any HTTP client.
-func sparkline(samples []Sample, w, h int) template.HTML {
+func sparkline(samples []alert.Sample, w, h int) template.HTML {
 	if len(samples) < 2 {
 		return template.HTML(fmt.Sprintf(
 			`<svg width="%d" height="%d" class="spark"><text x="2" y="%d" class="nodata">no data</text></svg>`,
@@ -61,7 +62,7 @@ type dashboardRow struct {
 }
 
 type dashboardAlert struct {
-	Alert
+	alert.Alert
 	StateClass string
 	Age        string
 }
@@ -137,7 +138,7 @@ type dashboardData struct {
 	WaterfallID string
 	WaterfallMS float64
 	Alerts      []dashboardAlert
-	Rules       []Rule
+	Rules       []alert.Rule
 }
 
 var dashboardTmpl = template.Must(template.New("dashboard").Parse(`<!DOCTYPE html>
@@ -466,12 +467,12 @@ func (m *Monitor) DashboardHandler() http.Handler {
 				row.StatusClass, row.Status = "up", "up"
 			}
 			row.LatSpark = sparkline(m.Series(bs.URL, "powerperfd_cell_fill_seconds_mean", sparkN), sparkW, sparkH)
-			row.HitSpark = sparkline(m.Series(bs.URL, "statsz_cache_hit_rate", sparkN), sparkW, sparkH)
-			row.QueueSpark = sparkline(m.Series(bs.URL, "statsz_queue_depth", sparkN), sparkW, sparkH)
+			row.HitSpark = sparkline(m.Series(bs.URL, "powerperfd_cache_hit_rate", sparkN), sparkW, sparkH)
+			row.QueueSpark = sparkline(m.Series(bs.URL, "powerperfd_queue_depth", sparkN), sparkW, sparkH)
 			data.Rows = append(data.Rows, row)
 			if bs.HasStore {
 				srow := row
-				srow.RowsSpark = sparkline(m.Series(bs.URL, "statsz_store_rows", sparkN), sparkW, sparkH)
+				srow.RowsSpark = sparkline(m.Series(bs.URL, "powerperfd_store_rows", sparkN), sparkW, sparkH)
 				if bs.StoreLastSeal > 0 {
 					age := snap.Generated.Sub(time.Unix(int64(bs.StoreLastSeal), 0))
 					if age < 0 {
@@ -530,9 +531,9 @@ func (m *Monitor) DashboardHandler() http.Handler {
 			da := dashboardAlert{Alert: a, StateClass: a.State.String()}
 			var since time.Time
 			switch a.State {
-			case StateFiring:
+			case alert.StateFiring:
 				since = a.FiringSince
-			case StatePending:
+			case alert.StatePending:
 				since = a.PendingSince
 			default:
 				since = a.ResolvedSince
@@ -541,9 +542,9 @@ func (m *Monitor) DashboardHandler() http.Handler {
 				da.Age = snap.Generated.Sub(since).Truncate(time.Second).String()
 			}
 			switch a.State {
-			case StateFiring:
+			case alert.StateFiring:
 				data.Firing++
-			case StatePending:
+			case alert.StatePending:
 				data.Pending++
 			}
 			data.Alerts = append(data.Alerts, da)

@@ -5,39 +5,41 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/alert"
 	"repro/internal/telemetry"
 )
 
 // seedSeries pushes vals into one series at 1s spacing.
-func seedSeries(st *store, backend, key string, vals ...float64) {
+func seedSeries(d *alert.Detector, backend, key string, vals ...float64) {
 	for i, v := range vals {
-		st.push(backend, key, Sample{T: ts(i), V: v})
+		d.Push(backend, key, ts(i), v)
 	}
 }
 
-func newTestDetector(st *store, rules ...Rule) *Detector {
-	return newDetector(rules, st, telemetry.Logger("monitor-test"), time.Minute)
+// newTestDetector builds a detector with the given ring capacity and
+// series cap, a one-minute retention, and a test logger.
+func newTestDetector(ringCap, maxSeries int, rules ...alert.Rule) *alert.Detector {
+	return alert.NewDetector(rules, ringCap, maxSeries, time.Minute, telemetry.Logger("monitor-test"))
 }
 
 const be = "http://backend-a"
 
 func TestThresholdLifecycle(t *testing.T) {
-	st := newStore(16, 32)
-	rule := Rule{Name: "backend_down", Series: "up", Kind: KindThreshold, Cmp: Below, Value: 1, For: 2, Clear: 2}
-	d := newTestDetector(st, rule)
+	rule := alert.Rule{Name: "backend_down", Series: "up", Kind: alert.KindThreshold, Cmp: alert.Below, Value: 1, For: 2, Clear: 2}
+	d := newTestDetector(16, 32, rule)
 
 	// Healthy: no alert at all.
-	seedSeries(st, be, "up", 1)
+	seedSeries(d, be, "up", 1)
 	d.Evaluate([]string{be}, ts(0))
 	if got := d.Alerts(); len(got) != 0 {
 		t.Fatalf("healthy backend raised %v", got)
 	}
 
 	// First breach: pending, not yet firing.
-	st.push(be, "up", Sample{T: ts(1), V: 0})
+	d.Push(be, "up", ts(1), 0)
 	d.Evaluate([]string{be}, ts(1))
 	alerts := d.Alerts()
-	if len(alerts) != 1 || alerts[0].State != StatePending {
+	if len(alerts) != 1 || alerts[0].State != alert.StatePending {
 		t.Fatalf("after one breach: %+v, want one pending alert", alerts)
 	}
 	if alerts[0].PendingSince != ts(1) {
@@ -45,10 +47,10 @@ func TestThresholdLifecycle(t *testing.T) {
 	}
 
 	// Second consecutive breach: firing.
-	st.push(be, "up", Sample{T: ts(2), V: 0})
+	d.Push(be, "up", ts(2), 0)
 	d.Evaluate([]string{be}, ts(2))
 	alerts = d.Alerts()
-	if len(alerts) != 1 || alerts[0].State != StateFiring {
+	if len(alerts) != 1 || alerts[0].State != alert.StateFiring {
 		t.Fatalf("after For breaches: %+v, want firing", alerts)
 	}
 	if d.FiringCount() != 1 {
@@ -60,17 +62,17 @@ func TestThresholdLifecycle(t *testing.T) {
 	}
 
 	// One clean cycle is not enough to resolve.
-	st.push(be, "up", Sample{T: ts(3), V: 1})
+	d.Push(be, "up", ts(3), 1)
 	d.Evaluate([]string{be}, ts(3))
-	if got := d.Alerts(); got[0].State != StateFiring {
+	if got := d.Alerts(); got[0].State != alert.StateFiring {
 		t.Fatalf("after one clean cycle: %v, want still firing", got[0].State)
 	}
 
 	// Second clean cycle: resolved, timestamps strictly ordered.
-	st.push(be, "up", Sample{T: ts(4), V: 1})
+	d.Push(be, "up", ts(4), 1)
 	d.Evaluate([]string{be}, ts(4))
 	alerts = d.Alerts()
-	if len(alerts) != 1 || alerts[0].State != StateResolved {
+	if len(alerts) != 1 || alerts[0].State != alert.StateResolved {
 		t.Fatalf("after Clear clean cycles: %+v, want resolved", alerts)
 	}
 	a := alerts[0]
@@ -87,15 +89,14 @@ func TestThresholdLifecycle(t *testing.T) {
 }
 
 func TestPendingThatClearsIsNoise(t *testing.T) {
-	st := newStore(16, 32)
-	d := newTestDetector(st, Rule{Name: "down", Series: "up", Kind: KindThreshold, Cmp: Below, Value: 1, For: 3})
+	d := newTestDetector(16, 32, alert.Rule{Name: "down", Series: "up", Kind: alert.KindThreshold, Cmp: alert.Below, Value: 1, For: 3})
 
-	st.push(be, "up", Sample{T: ts(0), V: 0})
+	d.Push(be, "up", ts(0), 0)
 	d.Evaluate([]string{be}, ts(0))
-	if got := d.Alerts(); len(got) != 1 || got[0].State != StatePending {
+	if got := d.Alerts(); len(got) != 1 || got[0].State != alert.StatePending {
 		t.Fatalf("want pending, got %+v", got)
 	}
-	st.push(be, "up", Sample{T: ts(1), V: 1})
+	d.Push(be, "up", ts(1), 1)
 	d.Evaluate([]string{be}, ts(1))
 	if got := d.Alerts(); len(got) != 0 {
 		t.Fatalf("pending that cleared should vanish, got %+v", got)
@@ -103,15 +104,14 @@ func TestPendingThatClearsIsNoise(t *testing.T) {
 }
 
 func TestRateRule(t *testing.T) {
-	st := newStore(16, 32)
-	d := newTestDetector(st, Rule{Name: "breaker_opening", Series: "opens", Kind: KindRate, Cmp: Above, Value: 0, Window: 5, For: 1})
+	d := newTestDetector(16, 32, alert.Rule{Name: "breaker_opening", Series: "opens", Kind: alert.KindRate, Cmp: alert.Above, Value: 0, Window: 5, For: 1})
 
-	seedSeries(st, be, "opens", 3, 3, 3)
+	seedSeries(d, be, "opens", 3, 3, 3)
 	d.Evaluate([]string{be}, ts(2))
 	if got := d.Alerts(); len(got) != 0 {
 		t.Fatalf("flat counter raised %+v", got)
 	}
-	st.push(be, "opens", Sample{T: ts(3), V: 5})
+	d.Push(be, "opens", ts(3), 5)
 	d.Evaluate([]string{be}, ts(3))
 	got := d.Alerts()
 	if len(got) != 1 || !strings.Contains(got[0].Reason, "rate") {
@@ -120,12 +120,11 @@ func TestRateRule(t *testing.T) {
 }
 
 func TestCIRuleDetectsRegression(t *testing.T) {
-	st := newStore(64, 32)
-	rule := Rule{
-		Name: "latency_regressed", Series: "lat", Kind: KindCI, Cmp: Above,
+	rule := alert.Rule{
+		Name: "latency_regressed", Series: "lat", Kind: alert.KindCI, Cmp: alert.Above,
 		Window: 5, Baseline: 20, RelTol: 0.05, For: 1,
 	}
-	d := newTestDetector(st, rule)
+	d := newTestDetector(64, 32, rule)
 
 	// Stable baseline with mild alternation, then a 3x step: the recent
 	// mean leaves the Student-t interval decisively.
@@ -136,10 +135,10 @@ func TestCIRuleDetectsRegression(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		vals = append(vals, 0.300)
 	}
-	seedSeries(st, be, "lat", vals...)
+	seedSeries(d, be, "lat", vals...)
 	d.Evaluate([]string{be}, ts(len(vals)))
 	got := d.Alerts()
-	if len(got) != 1 || got[0].State != StateFiring {
+	if len(got) != 1 || got[0].State != alert.StateFiring {
 		t.Fatalf("3x latency step: %+v, want an immediately-firing CI alert (For=1)", got)
 	}
 	if !strings.Contains(got[0].Reason, "t-CI") {
@@ -147,13 +146,12 @@ func TestCIRuleDetectsRegression(t *testing.T) {
 	}
 
 	// The same shape without the step stays quiet.
-	st2 := newStore(64, 32)
-	d2 := newTestDetector(st2, rule)
+	d2 := newTestDetector(64, 32, rule)
 	var flat []float64
 	for i := 0; i < 25; i++ {
 		flat = append(flat, 0.100+0.002*float64(i%5))
 	}
-	seedSeries(st2, be, "lat", flat...)
+	seedSeries(d2, be, "lat", flat...)
 	d2.Evaluate([]string{be}, ts(len(flat)))
 	if got := d2.Alerts(); len(got) != 0 {
 		t.Fatalf("stable series raised %+v", got)
@@ -172,12 +170,11 @@ func TestCIRuleRobustVariantShrugsOffOutlier(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		vals = append(vals, 0.200)
 	}
-	st := newStore(64, 32)
-	d := newTestDetector(st, Rule{
-		Name: "robust", Series: "lat", Kind: KindCI, Cmp: Above,
+	d := newTestDetector(64, 32, alert.Rule{
+		Name: "robust", Series: "lat", Kind: alert.KindCI, Cmp: alert.Above,
 		Window: 5, Baseline: 20, RelTol: 0.10, Robust: true, For: 1,
 	})
-	seedSeries(st, be, "lat", vals...)
+	seedSeries(d, be, "lat", vals...)
 	d.Evaluate([]string{be}, ts(len(vals)))
 	got := d.Alerts()
 	if len(got) != 1 {
@@ -189,9 +186,8 @@ func TestCIRuleRobustVariantShrugsOffOutlier(t *testing.T) {
 }
 
 func TestTrendRule(t *testing.T) {
-	st := newStore(64, 32)
-	d := newTestDetector(st, Rule{
-		Name: "drifting_up", Series: "v", Kind: KindTrend, Cmp: Above,
+	d := newTestDetector(64, 32, alert.Rule{
+		Name: "drifting_up", Series: "v", Kind: alert.KindTrend, Cmp: alert.Above,
 		Window: 12, Value: 0.10, MinR2: 0.5, For: 1,
 	})
 	// Clean linear climb: 20% across the window with near-perfect fit.
@@ -199,20 +195,19 @@ func TestTrendRule(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		vals = append(vals, 1.0+0.02*float64(i))
 	}
-	seedSeries(st, be, "v", vals...)
+	seedSeries(d, be, "v", vals...)
 	d.Evaluate([]string{be}, ts(12))
 	if got := d.Alerts(); len(got) != 1 {
 		t.Fatalf("linear drift: %+v, want one trend alert", got)
 	}
 
 	// Pure noise with no slope stays quiet (R2 gate).
-	st2 := newStore(64, 32)
-	d2 := newTestDetector(st2, Rule{
-		Name: "drifting_up", Series: "v", Kind: KindTrend, Cmp: Above,
+	d2 := newTestDetector(64, 32, alert.Rule{
+		Name: "drifting_up", Series: "v", Kind: alert.KindTrend, Cmp: alert.Above,
 		Window: 12, Value: 0.10, MinR2: 0.5, For: 1,
 	})
 	noise := []float64{1, 1.3, 0.8, 1.1, 0.9, 1.2, 1.0, 0.7, 1.3, 1.0, 0.9, 1.1}
-	seedSeries(st2, be, "v", noise...)
+	seedSeries(d2, be, "v", noise...)
 	d2.Evaluate([]string{be}, ts(12))
 	if got := d2.Alerts(); len(got) != 0 {
 		t.Fatalf("noise raised a trend alert: %+v", got)
@@ -220,17 +215,16 @@ func TestTrendRule(t *testing.T) {
 }
 
 func TestGoldenRule(t *testing.T) {
-	st := newStore(16, 32)
-	d := newTestDetector(st, Rule{
-		Name: "power_drift", Series: "pkg_watts", Kind: KindGolden,
+	d := newTestDetector(16, 32, alert.Rule{
+		Name: "power_drift", Series: "pkg_watts", Kind: alert.KindGolden,
 		Value: 42.0, RelTol: 0.02, For: 1,
 	})
-	st.push(be, "pkg_watts", Sample{T: ts(0), V: 42.5})
+	d.Push(be, "pkg_watts", ts(0), 42.5)
 	d.Evaluate([]string{be}, ts(0))
 	if got := d.Alerts(); len(got) != 0 {
 		t.Fatalf("within tolerance raised %+v", got)
 	}
-	st.push(be, "pkg_watts", Sample{T: ts(1), V: 44.0})
+	d.Push(be, "pkg_watts", ts(1), 44.0)
 	d.Evaluate([]string{be}, ts(1))
 	got := d.Alerts()
 	if len(got) != 1 || !strings.Contains(got[0].Reason, "golden") {
@@ -239,13 +233,12 @@ func TestGoldenRule(t *testing.T) {
 }
 
 func TestWarmupSuppression(t *testing.T) {
-	st := newStore(64, 32)
-	d := newTestDetector(st, Rule{
-		Name: "ci", Series: "lat", Kind: KindCI, Cmp: Above, Window: 5, Baseline: 20, For: 1,
+	d := newTestDetector(64, 32, alert.Rule{
+		Name: "ci", Series: "lat", Kind: alert.KindCI, Cmp: alert.Above, Window: 5, Baseline: 20, For: 1,
 	})
 	// 10 samples is under Baseline+Window: the rule must stay silent no
 	// matter how wild the values are.
-	seedSeries(st, be, "lat", 1, 99, 1, 99, 1, 99, 1, 99, 1, 99)
+	seedSeries(d, be, "lat", 1, 99, 1, 99, 1, 99, 1, 99, 1, 99)
 	d.Evaluate([]string{be}, ts(10))
 	if got := d.Alerts(); len(got) != 0 {
 		t.Fatalf("warmup window raised %+v", got)
@@ -253,24 +246,32 @@ func TestWarmupSuppression(t *testing.T) {
 }
 
 func TestAlertsOrdering(t *testing.T) {
-	st := newStore(16, 32)
-	d := newTestDetector(st,
-		Rule{Name: "a_down", Series: "up", Kind: KindThreshold, Cmp: Below, Value: 1, For: 1},
-		Rule{Name: "b_slow", Series: "lat", Kind: KindThreshold, Cmp: Above, Value: 1, For: 5},
+	d := newTestDetector(16, 32,
+		alert.Rule{Name: "a_down", Series: "up", Kind: alert.KindThreshold, Cmp: alert.Below, Value: 1, For: 1, Clear: 1},
+		alert.Rule{Name: "b_slow", Series: "lat", Kind: alert.KindThreshold, Cmp: alert.Above, Value: 1, For: 5},
 	)
-	be2 := "http://backend-b"
-	st.push(be, "up", Sample{T: ts(0), V: 0})
-	st.push(be2, "lat", Sample{T: ts(0), V: 2})
-	d.Evaluate([]string{be, be2}, ts(0))
+	be2, be3 := "http://backend-b", "http://backend-c"
+	// be3 goes down first and recovers, leaving a resolved a_down.
+	d.Push(be3, "up", ts(0), 0)
+	d.Evaluate([]string{be3}, ts(0))
+	d.Push(be3, "up", ts(1), 1)
+	d.Evaluate([]string{be3}, ts(1))
+	d.Push(be, "up", ts(1), 0)
+	d.Push(be2, "lat", ts(1), 2)
+	d.Evaluate([]string{be, be2}, ts(1))
 	got := d.Alerts()
-	if len(got) != 2 {
-		t.Fatalf("want 2 alerts, got %+v", got)
+	if len(got) != 3 {
+		t.Fatalf("want 3 alerts, got %+v", got)
 	}
-	// Firing ranks before pending regardless of rule name.
-	if got[0].State != StateFiring || got[0].Rule != "a_down" {
-		t.Fatalf("first alert %+v, want firing a_down", got[0])
+	// Firing ranks before pending before resolved regardless of rule
+	// name or backend.
+	if got[0].State != alert.StateFiring || got[0].Rule != "a_down" || got[0].Backend != be {
+		t.Fatalf("first alert %+v, want firing a_down on %s", got[0], be)
 	}
-	if got[1].State != StatePending || got[1].Rule != "b_slow" {
+	if got[1].State != alert.StatePending || got[1].Rule != "b_slow" {
 		t.Fatalf("second alert %+v, want pending b_slow", got[1])
+	}
+	if got[2].State != alert.StateResolved || got[2].Rule != "a_down" || got[2].Backend != be3 {
+		t.Fatalf("third alert %+v, want resolved a_down on %s", got[2], be3)
 	}
 }

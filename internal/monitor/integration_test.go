@@ -11,10 +11,12 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/alert"
 	"repro/internal/cluster"
 	"repro/internal/experiments"
 	"repro/internal/harness"
@@ -79,8 +81,9 @@ func getBody(t *testing.T, url string) []byte {
 
 // TestScrapeFederatesLiveBackend points a monitor at a real powerperfd
 // handler and asserts the federation loop lands every layer: healthz
-// into up, statsz into flattened gauges, metricsz families under their
-// exposition keys, derived histogram means, and the build identity.
+// into up, metricsz families under their exposition keys, the derived
+// queue-fill, hit-rate and histogram-mean series, and the seed and
+// build identity read from the info families.
 func TestScrapeFederatesLiveBackend(t *testing.T) {
 	_, ts, _ := newBackend(t, service.Options{Seed: 42})
 
@@ -109,7 +112,7 @@ func TestScrapeFederatesLiveBackend(t *testing.T) {
 	}
 	for _, want := range []string{
 		"up", "scrape_ok", "scrape_duration_seconds",
-		"statsz_uptime_s", "statsz_cache_hit_rate", "statsz_queue_capacity", "statsz_queue_fill",
+		"powerperfd_uptime_seconds", "powerperfd_cache_hit_rate", "powerperfd_queue_capacity", "powerperfd_queue_fill",
 		"powerperfd_cell_fill_seconds_mean",
 	} {
 		if !has(want) {
@@ -137,11 +140,66 @@ func TestScrapeFederatesLiveBackend(t *testing.T) {
 	if bs.Build.GoVersion == "" {
 		t.Errorf("snapshot build identity empty: %+v", bs.Build)
 	}
+	if bs.Build != telemetry.BuildInfo() {
+		t.Errorf("snapshot build %+v, want the backend's %+v", bs.Build, telemetry.BuildInfo())
+	}
 	if len(bs.TopCells) == 0 {
 		t.Errorf("no slow cells captured despite measure traffic")
 	}
 	if snap.Sweeps != 2 {
 		t.Errorf("Sweeps=%d, want 2", snap.Sweeps)
+	}
+
+	// The seed travels as a label, so one above 2^53 survives exactly.
+	const bigSeed = 1<<62 + 1
+	_, bigTS, _ := newBackend(t, service.Options{Seed: bigSeed})
+	bigMon := monitor.New([]string{bigTS.URL}, monitor.Options{Interval: time.Second, Seed: 7})
+	bigMon.Sweep(ctx)
+	if got := bigMon.Snapshot().Backends[0].Seed; got != bigSeed {
+		t.Errorf("snapshot seed=%d, want %d", got, int64(bigSeed))
+	}
+}
+
+// TestSweepScrapesMetricszOnce pins the one-scrape budget: after the
+// first sweep (which also harvests traces), each sweep issues exactly
+// one /healthz and one /metricsz request per backend and nothing else.
+func TestSweepScrapesMetricszOnce(t *testing.T) {
+	_, ts, _ := newBackend(t, service.Options{Seed: 42})
+	var mu sync.Mutex
+	paths := map[string]int{}
+	counting := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		paths[r.URL.Path]++
+		mu.Unlock()
+		resp, err := http.Get(ts.URL + r.URL.RequestURI())
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadGateway)
+			return
+		}
+		defer resp.Body.Close()
+		w.WriteHeader(resp.StatusCode)
+		io.Copy(w, resp.Body)
+	}))
+	defer counting.Close()
+
+	mon := monitor.New([]string{counting.URL}, monitor.Options{Interval: time.Second, Seed: 7})
+	ctx := context.Background()
+	mon.Sweep(ctx)
+	mu.Lock()
+	clear(paths)
+	mu.Unlock()
+	const sweeps = 5
+	for i := 0; i < sweeps; i++ {
+		mon.Sweep(ctx)
+	}
+	want := map[string]int{"/healthz": sweeps, "/metricsz": sweeps}
+	mu.Lock()
+	defer mu.Unlock()
+	if !reflect.DeepEqual(paths, want) {
+		t.Fatalf("%d sweeps requested %v, want %v", sweeps, paths, want)
+	}
+	if bs := mon.Snapshot().Backends[0]; !bs.Up || !bs.ScrapeOK {
+		t.Fatalf("proxied backend up=%v scrapeOK=%v err=%q", bs.Up, bs.ScrapeOK, bs.Error)
 	}
 }
 
@@ -192,8 +250,9 @@ func TestMetricszRoundTrips(t *testing.T) {
 }
 
 // TestStoreGaugesFederate scrapes a store-enabled backend and asserts
-// the /statsz store block lands in the snapshot's store gauges and the
-// dashboard grows a Study store panel; a storeless backend stays out.
+// its powerperfd_store_* families land in the snapshot's store gauges
+// and the dashboard grows a Study store panel; a storeless backend
+// stays out.
 func TestStoreGaugesFederate(t *testing.T) {
 	st, err := store.Open(t.TempDir())
 	if err != nil {
@@ -274,7 +333,7 @@ func findFamily(fams []telemetry.MetricFamily, name string) *telemetry.MetricFam
 // fleet runs a study through the cluster scheduler while the monitor
 // federates it; one backend is killed mid-study, the backend_down rule
 // walks pending→firing on /v1/alertz (served by a surviving powerperfd
-// via AttachMonitor), and after revival it resolves — with the
+// through Server.Handle), and after revival it resolves — with the
 // lifecycle timestamps strictly ordered.
 func TestAlertLifecycleOnBackendDeath(t *testing.T) {
 	var victim *deadable
@@ -299,14 +358,15 @@ func TestAlertLifecycleOnBackendDeath(t *testing.T) {
 		Jitter:   time.Millisecond,
 		Timeout:  2 * time.Second,
 		Seed:     7,
-		Rules: []monitor.Rule{{
-			Name: "backend_down", Series: "up", Kind: monitor.KindThreshold,
-			Cmp: monitor.Below, Value: 1, For: 2, Clear: 2,
+		Rules: []alert.Rule{{
+			Name: "backend_down", Series: "up", Kind: alert.KindThreshold,
+			Cmp: alert.Below, Value: 1, For: 2, Clear: 2,
 		}},
 	})
-	// Re-bind the surviving backend's handler with the monitor attached,
-	// so /v1/alertz and /debug/dashboard serve through powerperfd itself.
-	srv1.AttachMonitor(mon)
+	// Mount the monitor's pages on the surviving backend, so /v1/alertz
+	// and /debug/dashboard serve through powerperfd itself.
+	srv1.Handle("GET /v1/alertz", mon.AlertzHandler())
+	srv1.Handle("GET /debug/dashboard", mon.DashboardHandler())
 	d1.bind(srv1.Handler())
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -331,26 +391,26 @@ func TestAlertLifecycleOnBackendDeath(t *testing.T) {
 		studyDone <- err
 	}()
 
-	alertState := func() (monitor.Alert, bool) {
+	alertState := func() (alert.Alert, bool) {
 		var payload struct {
-			Alerts []monitor.Alert `json:"alerts"`
+			Alerts []alert.Alert `json:"alerts"`
 		}
 		resp, err := http.Get(ts1.URL + "/v1/alertz")
 		if err != nil {
-			return monitor.Alert{}, false
+			return alert.Alert{}, false
 		}
 		defer resp.Body.Close()
 		if err := json.NewDecoder(resp.Body).Decode(&payload); err != nil {
-			return monitor.Alert{}, false
+			return alert.Alert{}, false
 		}
 		for _, a := range payload.Alerts {
 			if a.Rule == "backend_down" && a.Backend == ts0.URL {
 				return a, true
 			}
 		}
-		return monitor.Alert{}, false
+		return alert.Alert{}, false
 	}
-	waitFor := func(state monitor.AlertState, deadline time.Duration) monitor.Alert {
+	waitFor := func(state alert.AlertState, deadline time.Duration) alert.Alert {
 		t.Helper()
 		end := time.Now().Add(deadline)
 		for time.Now().Before(end) {
@@ -361,10 +421,10 @@ func TestAlertLifecycleOnBackendDeath(t *testing.T) {
 		}
 		a, ok := alertState()
 		t.Fatalf("backend_down never reached %v (last alert %+v, present=%v)", state, a, ok)
-		return monitor.Alert{}
+		return alert.Alert{}
 	}
 
-	firing := waitFor(monitor.StateFiring, 10*time.Second)
+	firing := waitFor(alert.StateFiring, 10*time.Second)
 	if firing.PendingSince.IsZero() || firing.FiringSince.IsZero() {
 		t.Fatalf("firing alert missing lifecycle stamps: %+v", firing)
 	}
@@ -383,7 +443,7 @@ func TestAlertLifecycleOnBackendDeath(t *testing.T) {
 
 	// Revive the backend; the alert must resolve.
 	victim.dead.Store(false)
-	resolved := waitFor(monitor.StateResolved, 10*time.Second)
+	resolved := waitFor(alert.StateResolved, 10*time.Second)
 	if !(resolved.PendingSince.Before(resolved.FiringSince) &&
 		resolved.FiringSince.Before(resolved.ResolvedSince)) {
 		t.Fatalf("lifecycle timestamps out of order: pending=%v firing=%v resolved=%v",
@@ -458,7 +518,7 @@ func TestCSVBytesUnchangedByMonitoring(t *testing.T) {
 	// Latency-regression rules may legitimately fire as study load ramps;
 	// what a healthy fleet must never show is an availability alert.
 	for _, a := range mon.Detector().Alerts() {
-		if (a.Rule == "backend_down" || a.Rule == "scrape_degraded") && a.State == monitor.StateFiring {
+		if (a.Rule == "backend_down" || a.Rule == "scrape_degraded") && a.State == alert.StateFiring {
 			t.Errorf("healthy fleet shows availability alert: %+v", a)
 		}
 	}
@@ -532,7 +592,7 @@ func TestBreakerRuleWatchesSchedulerSeries(t *testing.T) {
 	sched.ProbeHealth(context.Background())
 	sched.ProbeHealth(context.Background())
 
-	var rule *monitor.Rule
+	var rule *alert.Rule
 	for _, r := range monitor.DefaultRules() {
 		if r.Name == "breaker_opening" {
 			rule = &r

@@ -1,3 +1,17 @@
+// Package monitor is the fleet-watching subsystem: a scrape federation
+// loop that polls each backend's /healthz and /metricsz on a jittered
+// interval (plus a throttled /v1/traces harvest), and pushes the
+// resulting time series into an alert.Detector that evaluates threshold
+// and statistical rules over them. Alerts surface via slog,
+// GET /v1/alertz, the /debug/dashboard HTML page, and the powerperfmon
+// CLI.
+//
+// The design budget follows Diamond et al. ("What Is the Cost of Energy
+// Monitoring?"): observation must be overhead-gated. Everything here is
+// bounded — rings are fixed-size, series per backend are capped, each
+// sweep issues one metrics request per backend, and the scrape loop is
+// measured by the monitored-vs-unmonitored study benchmark (<2%
+// wall-time overhead, recorded in BENCH_pr5.json).
 package monitor
 
 import (
@@ -12,6 +26,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/alert"
 	"repro/internal/profiling"
 	"repro/internal/telemetry"
 	"repro/internal/traceanalytics"
@@ -39,7 +54,7 @@ type Options struct {
 	// span ring; 0 selects 8, negative disables the traces scrape.
 	TopCells int
 	// Rules are the detector rules; nil selects DefaultRules().
-	Rules []Rule
+	Rules []alert.Rule
 	// Retention is how long resolved alerts stay visible; <= 0 selects
 	// 10m.
 	Retention time.Duration
@@ -94,56 +109,56 @@ func (o Options) withDefaults() Options {
 // powerperfd backend exposes. Scheduler series (breaker opens)
 // evaluate only where present, so one rulebook serves both shapes of
 // scrape target.
-func DefaultRules() []Rule {
-	return []Rule{
+func DefaultRules() []alert.Rule {
+	return []alert.Rule{
 		{
-			Name: "backend_down", Series: "up", Kind: KindThreshold, Cmp: Below, Value: 1,
+			Name: "backend_down", Series: "up", Kind: alert.KindThreshold, Cmp: alert.Below, Value: 1,
 			For: 2, Clear: 2,
 			Help: "Backend /healthz failing or unreachable.",
 		},
 		{
-			Name: "scrape_degraded", Series: "scrape_ok", Kind: KindThreshold, Cmp: Below, Value: 1,
+			Name: "scrape_degraded", Series: "scrape_ok", Kind: alert.KindThreshold, Cmp: alert.Below, Value: 1,
 			For: 3, Clear: 2,
 			Help: "Backend is alive but its metric endpoints fail to fetch or parse.",
 		},
 		{
-			Name: "queue_saturated", Series: "statsz_queue_fill", Kind: KindThreshold, Cmp: Above, Value: 0.9,
+			Name: "queue_saturated", Series: "powerperfd_queue_fill", Kind: alert.KindThreshold, Cmp: alert.Above, Value: 0.9,
 			For: 3, Clear: 3,
 			Help: "Measurement queue over 90% of capacity: load is outrunning the worker pool.",
 		},
 		{
-			Name: "cache_hit_rate_collapsed", Series: "statsz_cache_hit_rate",
-			Kind: KindCI, Cmp: Below, Window: 5, Baseline: 20, RelTol: 0.05,
+			Name: "cache_hit_rate_collapsed", Series: "powerperfd_cache_hit_rate",
+			Kind: alert.KindCI, Cmp: alert.Below, Window: 5, Baseline: 20, RelTol: 0.05,
 			Help: "Cache hit rate fell below its rolling baseline confidence interval.",
 		},
 		{
 			Name: "fill_latency_regressed", Series: "powerperfd_cell_fill_seconds_mean",
-			Kind: KindCI, Cmp: Above, Window: 5, Baseline: 20, RelTol: 0.10, Robust: true,
+			Kind: alert.KindCI, Cmp: alert.Above, Window: 5, Baseline: 20, RelTol: 0.10, Robust: true,
 			Help: "Uncached cell fills are slower than the rolling baseline's bootstrap CI allows — a straggling or degraded backend.",
 		},
 		{
 			Name: "measure_latency_regressed", Series: `powerperfd_http_request_seconds_mean{endpoint="measure"}`,
-			Kind: KindCI, Cmp: Above, Window: 5, Baseline: 20, RelTol: 0.10,
+			Kind: alert.KindCI, Cmp: alert.Above, Window: 5, Baseline: 20, RelTol: 0.10,
 			Help: "Measure-endpoint latency left its rolling baseline confidence interval.",
 		},
 		{
 			Name: "breaker_opening", Series: "powerperf_sched_breaker_opens_total",
-			Kind: KindRate, Cmp: Above, Value: 0, Window: 5,
+			Kind: alert.KindRate, Cmp: alert.Above, Value: 0, Window: 5,
 			Help: "Scheduler circuit breakers are tripping (scraped from a scheduler's metrics page).",
 		},
 		{
-			Name: "uptime_drift", Series: "statsz_uptime_s",
-			Kind: KindTrend, Cmp: Below, Window: 12, Value: 0.5, MinR2: 0.2,
+			Name: "uptime_drift", Series: "powerperfd_uptime_seconds",
+			Kind: alert.KindTrend, Cmp: alert.Below, Window: 12, Value: 0.5, MinR2: 0.2,
 			Help: "Backend uptime trending down across scrapes: the process is crash-looping.",
 		},
 		{
 			Name: "alloc_rate_regressed", Series: "profile_alloc_bytes_per_sec",
-			Kind: KindCI, Cmp: Above, Window: 5, Baseline: 20, RelTol: 0.25, Robust: true,
+			Kind: alert.KindCI, Cmp: alert.Above, Window: 5, Baseline: 20, RelTol: 0.25, Robust: true,
 			Help: "Continuous-profiling allocation rate left its rolling baseline — an allocation regression shipped (the profile diff names the functions).",
 		},
 		{
 			Name: "error_budget_exhausted", Series: `slo_error_budget_remaining{objective="availability"}`,
-			Kind: KindThreshold, Cmp: Below, Value: 0, For: 2, Clear: 2,
+			Kind: alert.KindThreshold, Cmp: alert.Below, Value: 0, For: 2, Clear: 2,
 			Help: "The availability SLO's rolling error budget is spent (federated from the backend's /metricsz slo gauges).",
 		},
 		// Critical-path shift rules watch the synthetic "fleet" backend's
@@ -153,26 +168,25 @@ func DefaultRules() []Rule {
 		// means time is leaking into scheduling pathologies.
 		{
 			Name: "critical_path_steal_shift", Series: `trace_stage_share{stage="steal_redispatch"}`,
-			Kind: KindCI, Cmp: Above, Window: 5, Baseline: 20, RelTol: 0.10,
+			Kind: alert.KindCI, Cmp: alert.Above, Window: 5, Baseline: 20, RelTol: 0.10,
 			Help: "Steal/re-dispatch time is taking a growing share of assembled traces' critical paths — lease expiries are gating studies (a straggling or dying backend).",
 		},
 		{
 			Name: "critical_path_queue_shift", Series: `trace_stage_share{stage="queue_wait"}`,
-			Kind: KindCI, Cmp: Above, Window: 5, Baseline: 20, RelTol: 0.10,
+			Kind: alert.KindCI, Cmp: alert.Above, Window: 5, Baseline: 20, RelTol: 0.10,
 			Help: "Worker-queue wait is taking a growing share of the fleet's critical paths — backends are compute-saturated.",
 		},
 	}
 }
 
-// Monitor is the fleet monitor: the scrape federation loop, the series
-// store, and the detector, plus the HTTP and snapshot surfaces the
+// Monitor is the fleet monitor: the scrape federation loop and the
+// detector holding its series, plus the HTTP and snapshot surfaces the
 // dashboard, /v1/alertz, and powerperfmon render.
 type Monitor struct {
 	opts     Options
 	backends []string
-	store    *store
 	scraper  *scraper
-	detector *Detector
+	detector *alert.Detector
 	logger   *slog.Logger
 	start    time.Time
 
@@ -203,17 +217,16 @@ func New(backends []string, opts Options) *Monitor {
 		}
 	}
 	logger := telemetry.Logger("monitor")
-	st := newStore(opts.RingCap, opts.MaxSeriesPerBackend)
 	rules := opts.Rules
 	if rules == nil {
 		rules = DefaultRules()
 	}
+	det := alert.NewDetector(rules, opts.RingCap, opts.MaxSeriesPerBackend, opts.Retention, logger)
 	m := &Monitor{
 		opts:      opts,
 		backends:  bes,
-		store:     st,
-		scraper:   newScraper(bes, opts, st, logger),
-		detector:  newDetector(rules, st, logger, opts.Retention),
+		scraper:   newScraper(bes, opts, det, logger),
+		detector:  det,
 		analytics: traceanalytics.New(traceanalytics.Options{}),
 		logger:    logger,
 		start:     time.Now(),
@@ -235,7 +248,7 @@ func New(backends []string, opts Options) *Monitor {
 func (m *Monitor) Backends() []string { return append([]string(nil), m.backends...) }
 
 // Detector exposes the rule engine (tests and the CLI inspect it).
-func (m *Monitor) Detector() *Detector { return m.detector }
+func (m *Monitor) Detector() *alert.Detector { return m.detector }
 
 // Sweep runs one synchronous scrape-all-then-evaluate cycle. The run
 // loop calls it on the jittered interval; powerperfmon -once calls it
@@ -274,7 +287,7 @@ func (m *Monitor) Start(ctx context.Context) {
 	m.logger.Info("monitor started",
 		slog.Int("backends", len(m.backends)),
 		slog.Duration("interval", m.opts.Interval),
-		slog.Int("rules", len(m.detector.rules)))
+		slog.Int("rules", len(m.detector.Rules())))
 	go func() {
 		t := time.NewTimer(0) // first sweep immediately
 		defer t.Stop()
@@ -293,12 +306,12 @@ func (m *Monitor) Start(ctx context.Context) {
 
 // Series returns the newest n samples of one backend series — the
 // dashboard's sparkline feed.
-func (m *Monitor) Series(backend, key string, n int) []Sample {
-	return m.store.tail(backend, key, n)
+func (m *Monitor) Series(backend, key string, n int) []alert.Sample {
+	return m.detector.Tail(backend, key, n)
 }
 
-// SeriesKeys lists the series the store holds for one backend.
-func (m *Monitor) SeriesKeys(backend string) []string { return m.store.seriesKeys(backend) }
+// SeriesKeys lists the series held for one backend.
+func (m *Monitor) SeriesKeys(backend string) []string { return m.detector.SeriesKeys(backend) }
 
 // BackendSnapshot is one backend's row in the fleet view.
 type BackendSnapshot struct {
@@ -322,7 +335,8 @@ type BackendSnapshot struct {
 	TopCells   []CellLatency   `json:"top_cells,omitempty"`
 
 	// Study store gauges, present only when the backend runs with
-	// -store-dir (the /statsz "store" block flattens to statsz_store_*).
+	// -store-dir (its /metricsz then carries the powerperfd_store_*
+	// families).
 	HasStore      bool    `json:"store,omitempty"`
 	StoreSegments float64 `json:"store_segments,omitempty"`
 	StoreRows     float64 `json:"store_rows,omitempty"`
@@ -354,33 +368,28 @@ type SLOStatus struct {
 // slo_* series of one backend.
 func (m *Monitor) sloStatuses(backend string) []SLOStatus {
 	const budgetPrefix = `slo_error_budget_remaining{objective="`
+	last := m.detector.Last
 	var out []SLOStatus
-	for _, key := range m.store.seriesKeys(backend) {
+	for _, key := range m.detector.SeriesKeys(backend) {
 		if !strings.HasPrefix(key, budgetPrefix) || !strings.HasSuffix(key, `"}`) {
 			continue
 		}
 		obj := key[len(budgetPrefix) : len(key)-2]
-		st := SLOStatus{Objective: obj, AlertState: StateInactive.String()}
-		st.BudgetRemaining, _ = m.store.last(backend, key)
-		st.Compliance, _ = m.store.last(backend, fmt.Sprintf(`slo_compliance{objective=%q}`, obj))
-		st.FastBurn, _ = m.store.last(backend, fmt.Sprintf(`slo_burn_rate{objective=%q,window="fast"}`, obj))
-		st.SlowBurn, _ = m.store.last(backend, fmt.Sprintf(`slo_burn_rate{objective=%q,window="slow"}`, obj))
-		worst := 0.0
+		st := SLOStatus{Objective: obj}
+		st.BudgetRemaining, _ = last(backend, key)
+		st.Compliance, _ = last(backend, fmt.Sprintf(`slo_compliance{objective=%q}`, obj))
+		st.FastBurn, _ = last(backend, fmt.Sprintf(`slo_burn_rate{objective=%q,window="fast"}`, obj))
+		st.SlowBurn, _ = last(backend, fmt.Sprintf(`slo_burn_rate{objective=%q,window="slow"}`, obj))
+		// The gauge carries AlertState.Severity; a value that is no
+		// state (another number, NaN) counts as inactive.
+		worst := alert.StateInactive
 		for _, rule := range []string{"slo_fast_burn", "slo_slow_burn"} {
-			if v, ok := m.store.last(backend, fmt.Sprintf(`slo_alert_state{objective=%q,rule=%q}`, obj, rule)); ok && v > worst {
-				worst = v
+			v, _ := last(backend, fmt.Sprintf(`slo_alert_state{objective=%q,rule=%q}`, obj, rule))
+			if s, ok := alert.StateOfSeverity(v); ok && s.Severity() > worst.Severity() {
+				worst = s
 			}
 		}
-		// The gauge encodes rank(state): 0 inactive, 1 resolved, 2
-		// pending, 3 firing.
-		switch int(worst) {
-		case 1:
-			st.AlertState = StateResolved.String()
-		case 2:
-			st.AlertState = StatePending.String()
-		case 3:
-			st.AlertState = StateFiring.String()
-		}
+		st.AlertState = worst.String()
 		out = append(out, st)
 	}
 	return out
@@ -394,7 +403,7 @@ type Snapshot struct {
 	Sweeps    int64             `json:"sweeps"`
 	Interval  time.Duration     `json:"interval_ns"`
 	Backends  []BackendSnapshot `json:"backends"`
-	Alerts    []Alert           `json:"alerts"`
+	Alerts    []alert.Alert     `json:"alerts"`
 
 	// Continuous-profiling digest, present only with ProfileEvery set:
 	// per-backend reports plus the fleet-merged allocation delta (which
@@ -416,6 +425,7 @@ func (m *Monitor) Snapshot() Snapshot {
 		Interval:  m.opts.Interval,
 		Alerts:    m.detector.Alerts(),
 	}
+	last := m.detector.Last
 	for _, be := range m.backends {
 		bst := m.scraper.state[be]
 		bst.mu.Lock()
@@ -432,27 +442,27 @@ func (m *Monitor) Snapshot() Snapshot {
 			TopCells:   append([]CellLatency(nil), bst.topCells...),
 		}
 		bst.mu.Unlock()
-		bs.UptimeS, _ = m.store.last(be, "statsz_uptime_s")
-		bs.HitRate, _ = m.store.last(be, "statsz_cache_hit_rate")
-		bs.Entries, _ = m.store.last(be, "statsz_cache_entries")
-		bs.QueueDepth, _ = m.store.last(be, "statsz_queue_depth")
-		bs.QueueCap, _ = m.store.last(be, "statsz_queue_capacity")
-		bs.Inflight, _ = m.store.last(be, "statsz_queue_inflight_workers")
-		for _, k := range []string{"statsz_requests_measure", "statsz_requests_experiments", "statsz_requests_dataset"} {
-			v, _ := m.store.last(be, k)
+		bs.UptimeS, _ = last(be, "powerperfd_uptime_seconds")
+		bs.HitRate, _ = last(be, "powerperfd_cache_hit_rate")
+		bs.Entries, _ = last(be, "powerperfd_cache_entries")
+		bs.QueueDepth, _ = last(be, "powerperfd_queue_depth")
+		bs.QueueCap, _ = last(be, "powerperfd_queue_capacity")
+		bs.Inflight, _ = last(be, "powerperfd_inflight_workers")
+		for _, ep := range []string{"measure", "experiments", "dataset"} {
+			v, _ := last(be, `powerperfd_requests_total{endpoint="`+ep+`"}`)
 			bs.Requests += v
 		}
-		if v, ok := m.store.last(be, "powerperfd_cell_fill_seconds_mean"); ok {
+		if v, ok := last(be, "powerperfd_cell_fill_seconds_mean"); ok {
 			bs.FillMeanMS = v * 1e3
 		}
-		if v, ok := m.store.last(be, "statsz_store_segments"); ok {
+		if v, ok := last(be, "powerperfd_store_segments"); ok {
 			bs.HasStore = true
 			bs.StoreSegments = v
-			bs.StoreRows, _ = m.store.last(be, "statsz_store_rows")
-			bs.StoreBytes, _ = m.store.last(be, "statsz_store_bytes")
-			bs.StoreLastSeal, _ = m.store.last(be, "statsz_store_last_seal_unix")
-			bs.StoreDropped, _ = m.store.last(be, "statsz_store_dropped_studies")
-			bs.StoreWriteErr, _ = m.store.last(be, "statsz_store_write_errors")
+			bs.StoreRows, _ = last(be, "powerperfd_store_rows")
+			bs.StoreBytes, _ = last(be, "powerperfd_store_bytes")
+			bs.StoreLastSeal, _ = last(be, "powerperfd_store_last_seal_unix")
+			bs.StoreDropped, _ = last(be, "powerperfd_store_dropped_studies_total")
+			bs.StoreWriteErr, _ = last(be, "powerperfd_store_write_errors_total")
 		}
 		bs.SLOs = m.sloStatuses(be)
 		snap.Backends = append(snap.Backends, bs)
@@ -474,7 +484,7 @@ func (m *Monitor) AlertzHandler() http.Handler {
 		snap := m.Snapshot()
 		firing := 0
 		for _, a := range snap.Alerts {
-			if a.State == StateFiring {
+			if a.State == alert.StateFiring {
 				firing++
 			}
 		}
@@ -486,7 +496,7 @@ func (m *Monitor) AlertzHandler() http.Handler {
 			Generated time.Time       `json:"generated"`
 			Build     telemetry.Build `json:"monitor_build"`
 			Firing    int             `json:"firing"`
-			Alerts    []Alert         `json:"alerts"`
+			Alerts    []alert.Alert   `json:"alerts"`
 		}{snap.Generated, snap.Build, firing, snap.Alerts})
 	})
 }

@@ -4,7 +4,7 @@ package monitor
 // the fleet profiler's clock. Every ProfileEvery-th sweep kicks one
 // asynchronous harvest of each backend's /debug/pprof endpoints (CPU
 // window plus heap), and each completed harvest pushes three derived
-// series per backend into the same store every other rule reads:
+// series per backend into the same detector every other rule reads:
 //
 //	profile_cpu_busy_frac      sampled-CPU/wall over the harvest window
 //	profile_alloc_bytes_per_sec allocation rate across the harvest pair
@@ -41,13 +41,13 @@ func (m *Monitor) maybeProfile(ctx context.Context, sweep int64) {
 		now := time.Now()
 		for _, be := range m.backends {
 			if v, ok := m.fleet.CPUBusyFrac(be); ok {
-				m.store.push(be, "profile_cpu_busy_frac", Sample{T: now, V: v})
+				m.detector.Push(be, "profile_cpu_busy_frac", now, v)
 			}
 			if v, ok := m.fleet.AllocRate(be); ok {
-				m.store.push(be, "profile_alloc_bytes_per_sec", Sample{T: now, V: v})
+				m.detector.Push(be, "profile_alloc_bytes_per_sec", now, v)
 			}
 			if h, ok := m.fleet.Latest(be); ok {
-				m.store.push(be, "profile_heap_inuse_bytes", Sample{T: now, V: float64(h.HeapInuse)})
+				m.detector.Push(be, "profile_heap_inuse_bytes", now, float64(h.HeapInuse))
 			}
 		}
 		m.harvests.Add(1)

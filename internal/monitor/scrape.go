@@ -8,11 +8,13 @@ import (
 	"log/slog"
 	"net/http"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/alert"
 	"repro/internal/telemetry"
 	"repro/internal/traceanalytics"
 )
@@ -27,7 +29,7 @@ type CellLatency struct {
 
 // backendState is the latest non-series scrape state for one backend:
 // liveness, identity, and the slow-cell leaderboard. Series data lives
-// in the store.
+// in the detector.
 type backendState struct {
 	mu         sync.Mutex
 	up         bool
@@ -44,18 +46,18 @@ type backendState struct {
 
 type histCum struct{ sum, count float64 }
 
-// scraper polls one fleet: /healthz for liveness, /statsz for the
-// typed counters, /metricsz for every Prometheus family, and
+// scraper polls one fleet: /healthz for liveness, /metricsz for every
+// counter and Prometheus family (and the backend's identity), and
 // /v1/traces for the slowest cells. Each poll pushes samples into the
-// store under stable series keys; counter-vs-gauge semantics are the
-// detector's concern.
+// detector under stable series keys; counter-vs-gauge semantics are
+// the rules' concern.
 type scraper struct {
 	backends  []string
 	hc        *http.Client
 	timeout   time.Duration
 	topCells  int
 	userAgent string
-	store     *store
+	det       *alert.Detector
 	state     map[string]*backendState
 	logger    *slog.Logger
 	sweeps    atomic.Int64
@@ -74,14 +76,14 @@ type scraper struct {
 // so there is no reason to spend even the cheap export every sweep.
 const traceEvery = 8
 
-func newScraper(backends []string, o Options, st *store, logger *slog.Logger) *scraper {
+func newScraper(backends []string, o Options, det *alert.Detector, logger *slog.Logger) *scraper {
 	sc := &scraper{
 		backends:  backends,
 		hc:        o.HTTPClient,
 		timeout:   o.Timeout,
 		topCells:  o.TopCells,
 		userAgent: "powerperfmon/" + Version + " " + telemetry.BuildInfo().UserAgentToken(),
-		store:     st,
+		det:       det,
 		state:     make(map[string]*backendState, len(backends)),
 		logger:    logger,
 	}
@@ -114,7 +116,7 @@ func (sc *scraper) scrapeAll(ctx context.Context) {
 // scrapeOne polls one backend's endpoints and records the results. The
 // up series comes from /healthz alone (a draining backend answers
 // /metricsz fine but must read as down); scrape_ok additionally
-// requires the metric endpoints to parse.
+// requires /metricsz (and the traces harvest, when due) to parse.
 func (sc *scraper) scrapeOne(ctx context.Context, backend string, withTraces bool) {
 	bst := sc.state[backend]
 	start := time.Now()
@@ -122,13 +124,7 @@ func (sc *scraper) scrapeOne(ctx context.Context, backend string, withTraces boo
 	healthErr := sc.getOK(ctx, backend, "/healthz")
 	up := healthErr == nil
 
-	var scrapeErr error
-	if err := sc.scrapeStatsz(ctx, backend, bst, start); err != nil {
-		scrapeErr = err
-	}
-	if err := sc.scrapeMetricsz(ctx, backend, bst, start); err != nil && scrapeErr == nil {
-		scrapeErr = err
-	}
+	scrapeErr := sc.scrapeMetricsz(ctx, backend, bst, start)
 	if withTraces {
 		if err := sc.scrapeTraces(ctx, backend, bst); err != nil && scrapeErr == nil {
 			scrapeErr = err
@@ -143,9 +139,9 @@ func (sc *scraper) scrapeOne(ctx context.Context, backend string, withTraces boo
 	if scrapeErr == nil {
 		okV = 1
 	}
-	sc.store.push(backend, "up", Sample{T: start, V: upV})
-	sc.store.push(backend, "scrape_ok", Sample{T: start, V: okV})
-	sc.store.push(backend, "scrape_duration_seconds", Sample{T: start, V: dur.Seconds()})
+	sc.det.Push(backend, "up", start, upV)
+	sc.det.Push(backend, "scrape_ok", start, okV)
+	sc.det.Push(backend, "scrape_duration_seconds", start, dur.Seconds())
 
 	bst.mu.Lock()
 	bst.up = up
@@ -202,69 +198,12 @@ func (sc *scraper) getOK(ctx context.Context, backend, path string) error {
 	return err
 }
 
-// scrapeStatsz flattens the /statsz JSON into statsz_* series (numbers
-// and booleans; nested objects join with underscores) and captures the
-// backend's identity fields for the fleet snapshot.
-func (sc *scraper) scrapeStatsz(ctx context.Context, backend string, bst *backendState, t time.Time) error {
-	body, err := sc.get(ctx, backend, "/statsz")
-	if err != nil {
-		return err
-	}
-	var raw map[string]any
-	if err := json.Unmarshal(body, &raw); err != nil {
-		return fmt.Errorf("monitor: %s/statsz: %w", backend, err)
-	}
-	flat := map[string]float64{}
-	flattenJSON("statsz", raw, flat)
-	// Derived pressure gauge: queue fill fraction, the saturation signal
-	// the threshold rules watch.
-	if capd, ok := flat["statsz_queue_capacity"]; ok && capd > 0 {
-		flat["statsz_queue_fill"] = flat["statsz_queue_depth"] / capd
-	}
-	for k, v := range flat {
-		sc.store.push(backend, k, Sample{T: t, V: v})
-	}
-
-	var ident struct {
-		Seed  int64           `json:"seed"`
-		Build telemetry.Build `json:"build"`
-	}
-	_ = json.Unmarshal(body, &ident)
-	bst.mu.Lock()
-	bst.seed = ident.Seed
-	bst.build = ident.Build
-	bst.mu.Unlock()
-	return nil
-}
-
-// flattenJSON walks a decoded JSON object, emitting prefix_key paths
-// for every number and boolean. Arrays and strings are skipped: they
-// are either identity (handled separately) or unbounded (per-shard
-// lists), and the series cap should not be spent on them.
-func flattenJSON(prefix string, v any, out map[string]float64) {
-	switch x := v.(type) {
-	case map[string]any:
-		keys := make([]string, 0, len(x))
-		for k := range x {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			flattenJSON(prefix+"_"+k, x[k], out)
-		}
-	case float64:
-		out[prefix] = x
-	case bool:
-		if x {
-			out[prefix] = 1
-		} else {
-			out[prefix] = 0
-		}
-	}
-}
-
 // scrapeMetricsz parses the backend's Prometheus page and pushes every
-// counter and gauge sample under its exposition key. Histogram families
+// counter and gauge sample under its exposition key, reads the
+// backend's seed and build from the info families, and derives the two
+// pressure gauges the stock rules watch with the formulas Stats() uses:
+// powerperfd_queue_fill (depth/capacity) and powerperfd_cache_hit_rate
+// (hits/(hits+misses+coalesced)). Histogram families
 // contribute their _sum and _count samples plus a derived *_mean series
 // — the per-scrape-window mean in seconds, computed from the cumulative
 // deltas with reset handling — which is what the CI-regression rules
@@ -279,6 +218,7 @@ func (sc *scraper) scrapeMetricsz(ctx context.Context, backend string, bst *back
 	if err != nil {
 		return fmt.Errorf("monitor: %s/metricsz: %w", backend, err)
 	}
+	plain := map[string]float64{} // unlabeled counter and gauge values
 	type sumCount struct {
 		sum, count float64
 		hasSum     bool
@@ -294,7 +234,7 @@ func (sc *scraper) scrapeMetricsz(ctx context.Context, backend string, bst *back
 					continue
 				}
 				key := s.Key()
-				sc.store.push(backend, key, Sample{T: t, V: s.Value})
+				sc.det.Push(backend, key, t, s.Value)
 				base := labelsSuffix(key)
 				x := series[base]
 				if x == nil {
@@ -323,16 +263,53 @@ func (sc *scraper) scrapeMetricsz(ctx context.Context, backend string, bst *back
 					dc, ds = x.count, x.sum
 				}
 				if dc > 0 {
-					sc.store.push(backend, meanKey, Sample{T: t, V: ds / dc})
+					sc.det.Push(backend, meanKey, t, ds/dc)
 				}
 			}
 		default:
 			for _, s := range f.Samples {
-				sc.store.push(backend, s.Key(), Sample{T: t, V: s.Value})
+				sc.det.Push(backend, s.Key(), t, s.Value)
+				if len(s.Labels) == 0 {
+					plain[s.Name] = s.Value
+				}
+			}
+			if f.Name == "powerperfd_info" || f.Name == "powerperf_build_info" {
+				readIdentity(bst, &f)
 			}
 		}
 	}
+	if c := plain["powerperfd_queue_capacity"]; c > 0 {
+		sc.det.Push(backend, "powerperfd_queue_fill", t, plain["powerperfd_queue_depth"]/c)
+	}
+	if hits, ok := plain["powerperfd_cache_hits_total"]; ok {
+		rate := 0.0
+		if n := hits + plain["powerperfd_cache_misses_total"] + plain["powerperfd_cache_coalesced_total"]; n > 0 {
+			rate = hits / n
+		}
+		sc.det.Push(backend, "powerperfd_cache_hit_rate", t, rate)
+	}
 	return nil
+}
+
+// readIdentity captures the backend's seed (powerperfd_info) or build
+// stamp (powerperf_build_info) from the labels of the family's sample.
+func readIdentity(bst *backendState, f *telemetry.MetricFamily) {
+	if len(f.Samples) == 0 {
+		return
+	}
+	p := f.Samples[0]
+	bst.mu.Lock()
+	defer bst.mu.Unlock()
+	if f.Name == "powerperfd_info" {
+		seed, _ := p.Label("seed")
+		bst.seed, _ = strconv.ParseInt(seed, 10, 64)
+		return
+	}
+	bst.build.Version, _ = p.Label("version")
+	bst.build.Commit, _ = p.Label("commit")
+	bst.build.GoVersion, _ = p.Label("go")
+	modified, _ := p.Label("modified")
+	bst.build.Modified = modified == "true"
 }
 
 // labelsSuffix extracts the "{...}" tail of a series key ("" when

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/alert"
 	"repro/internal/chaoshttp"
 	"repro/internal/cluster"
 	"repro/internal/harness"
@@ -180,7 +181,7 @@ func TestSLOBurnLifecycleUnderChaos(t *testing.T) {
 		snap := slozSnapshot(t, ts0.URL)
 		for i := range snap.Alerts {
 			a := &snap.Alerts[i]
-			if a.Rule == slo.RuleFastBurn && a.Backend == service.SLOLatency && a.State == monitor.StateFiring {
+			if a.Rule == slo.RuleFastBurn && a.Backend == service.SLOLatency && a.State == alert.StateFiring {
 				firing = a
 			}
 		}

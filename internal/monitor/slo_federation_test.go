@@ -3,15 +3,18 @@ package monitor_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/alert"
 	"repro/internal/cluster"
 	"repro/internal/experiments"
 	"repro/internal/monitor"
@@ -96,6 +99,132 @@ func TestSLOGaugesFederateToSnapshotAndDashboard(t *testing.T) {
 	for _, want := range []string{"Service objectives", "error budget", `class="gauge `, service.SLOAvailability} {
 		if !strings.Contains(page, want) {
 			t.Fatalf("dashboard missing %q", want)
+		}
+	}
+}
+
+// TestSLOAlertStateGaugeRoundTrips pins the one alert-state encoding:
+// for every state, the slo_alert_state gauge that slo.WriteMetrics
+// renders, once scraped by the monitor, yields the engine's own
+// AlertState in the federated SLOStatus.
+func TestSLOAlertStateGaugeRoundTrips(t *testing.T) {
+	var mu sync.Mutex
+	now := time.Unix(1_754_000_000, 0)
+	clock := func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
+	eng, err := slo.New(slo.Config{
+		Objectives: []slo.Objective{{
+			Name: service.SLOLatency, Kind: slo.KindLatency, Target: 0.99,
+			LatencyThreshold: 50 * time.Millisecond,
+		}},
+		Resolution:   time.Second,
+		BudgetWindow: 2 * time.Minute,
+		FastShort:    5 * time.Second,
+		FastLong:     20 * time.Second,
+		SlowShort:    40 * time.Second,
+		SlowLong:     80 * time.Second,
+		FastBurn:     10,
+		SlowBurn:     1,
+		For:          2,
+		Clear:        2,
+		Now:          clock,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {})
+	mux.HandleFunc("GET /metricsz", func(w http.ResponseWriter, r *http.Request) {
+		eng.WriteMetrics(w, clock())
+	})
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+	mon := monitor.New([]string{ts.URL}, monitor.Options{Interval: time.Second, Seed: 7, TopCells: -1})
+
+	// tick feeds one second of traffic, all slow or all fast.
+	tick := func(slow bool) alert.AlertState {
+		lat := 5 * time.Millisecond
+		if slow {
+			lat = 400 * time.Millisecond
+		}
+		for i := 0; i < 20; i++ {
+			eng.ObserveLatency(service.SLOLatency, lat, 0)
+		}
+		mu.Lock()
+		now = now.Add(time.Second)
+		mu.Unlock()
+		var st alert.AlertState
+		if err := st.UnmarshalText([]byte(eng.Snapshot(clock()).Objectives[0].AlertState)); err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	seen := map[alert.AlertState]bool{}
+	check := func(want alert.AlertState) {
+		t.Helper()
+		mon.Sweep(context.Background())
+		slos := mon.Snapshot().Backends[0].SLOs
+		if len(slos) != 1 || slos[0].AlertState != want.String() {
+			t.Fatalf("engine state %v federated as %+v", want, slos)
+		}
+		seen[want] = true
+	}
+	check(tick(false))
+	for _, phase := range []struct {
+		slow bool
+		want alert.AlertState
+	}{
+		{true, alert.StatePending},
+		{true, alert.StateFiring},
+		{false, alert.StateResolved},
+	} {
+		for i := 0; ; i++ {
+			st := tick(phase.slow)
+			check(st)
+			if st == phase.want {
+				break
+			}
+			if i == 60 {
+				t.Fatalf("engine never reached %v (stuck at %v)", phase.want, st)
+			}
+		}
+	}
+	for _, st := range []alert.AlertState{alert.StateInactive, alert.StateResolved, alert.StatePending, alert.StateFiring} {
+		if !seen[st] {
+			t.Errorf("state %v never exercised", st)
+		}
+	}
+}
+
+// TestMalformedSLOAlertStateIsNotAState: a backend whose
+// slo_alert_state gauge carries a value that is no state (above
+// firing, fractional, NaN, +Inf) federates that rule as inactive, so
+// it cannot outrank a real state the other burn rule reports.
+func TestMalformedSLOAlertStateIsNotAState(t *testing.T) {
+	for _, tc := range []struct {
+		bad  string
+		slow string
+		want alert.AlertState
+	}{
+		{"4", "2", alert.StatePending},
+		{"1e9", "1", alert.StateResolved},
+		{"2.5", "0", alert.StateInactive},
+		{"NaN", "3", alert.StateFiring},
+		{"+Inf", "0", alert.StateInactive},
+	} {
+		mux := http.NewServeMux()
+		mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {})
+		mux.HandleFunc("GET /metricsz", func(w http.ResponseWriter, r *http.Request) {
+			fmt.Fprintf(w, "slo_error_budget_remaining{objective=\"latency\"} 0.5\n"+
+				"slo_alert_state{objective=\"latency\",rule=\"slo_fast_burn\"} %s\n"+
+				"slo_alert_state{objective=\"latency\",rule=\"slo_slow_burn\"} %s\n", tc.bad, tc.slow)
+		})
+		ts := httptest.NewServer(mux)
+		mon := monitor.New([]string{ts.URL}, monitor.Options{Interval: time.Second, Seed: 7, TopCells: -1})
+		mon.Sweep(context.Background())
+		slos := mon.Snapshot().Backends[0].SLOs
+		ts.Close()
+		if len(slos) != 1 || slos[0].AlertState != tc.want.String() {
+			t.Errorf("fast gauge %s, slow gauge %s: federated %+v, want alert state %v", tc.bad, tc.slow, slos, tc.want)
 		}
 	}
 }

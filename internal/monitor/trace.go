@@ -18,7 +18,7 @@ import (
 )
 
 // FleetBackend is the synthetic backend name carrying fleet-derived
-// series (trace_stage_share and trace intake gauges) in the store and
+// series (trace_stage_share and trace intake gauges) in the detector and
 // in alerts from the critical-path rules.
 const FleetBackend = "fleet"
 
@@ -50,18 +50,18 @@ func (m *Monitor) IngestSpans(source string, spans []telemetry.SpanData) int {
 }
 
 // pushTraceSeries publishes the assembler's fleet view into the series
-// store under the synthetic fleet backend, one gauge per pipeline
+// detector under the synthetic fleet backend, one gauge per pipeline
 // stage plus intake counters, so critical-path shifts run through the
 // stock detector exactly like any scraped series.
 func (m *Monitor) pushTraceSeries(now time.Time) {
 	shares := m.analytics.StageShares(0)
 	for _, stage := range traceanalytics.Stages() {
 		key := fmt.Sprintf("trace_stage_share{stage=%q}", stage)
-		m.store.push(FleetBackend, key, Sample{T: now, V: shares[stage]})
+		m.detector.Push(FleetBackend, key, now, shares[stage])
 	}
 	st := m.analytics.Stats()
-	m.store.push(FleetBackend, "trace_assembled_traces", Sample{T: now, V: float64(st.Traces)})
-	m.store.push(FleetBackend, "trace_spans_held", Sample{T: now, V: float64(st.SpansHeld)})
+	m.detector.Push(FleetBackend, "trace_assembled_traces", now, float64(st.Traces))
+	m.detector.Push(FleetBackend, "trace_spans_held", now, float64(st.SpansHeld))
 }
 
 // traceviewResponse is the GET /v1/traceview payload: the fleet

@@ -238,7 +238,7 @@ func (c *Cache) Len() int {
 }
 
 // ShardLens returns the resident entry count of every shard, in shard
-// order — the per-shard occupancy view /statsz and /metricsz expose so
+// order — the per-shard occupancy view /metricsz exposes so
 // operators can see whether the rendezvous routing keeps each backend's
 // key space (and therefore its shards) evenly loaded.
 func (c *Cache) ShardLens() []int {
@@ -254,13 +254,13 @@ func (c *Cache) ShardLens() []int {
 
 // CacheStats is a point-in-time counter snapshot.
 type CacheStats struct {
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Coalesced int64 `json:"coalesced"`
-	Evictions int64 `json:"evictions"`
-	Entries   int   `json:"entries"`
-	Capacity  int   `json:"capacity"`
-	Shards    []int `json:"shard_entries"`
+	Hits      int64
+	Misses    int64
+	Coalesced int64
+	Evictions int64
+	Entries   int
+	Capacity  int
+	Shards    []int
 }
 
 // Stats snapshots the cache counters.

@@ -26,8 +26,7 @@ const maxRequestBytes = 4 << 20
 //	GET  /v1/dataset            stream the full-study CSV
 //	GET  /v1/traces             recent spans, Chrome trace-event JSON
 //	GET  /healthz               liveness (503 while draining)
-//	GET  /statsz                cache/queue/request counters
-//	GET  /metricsz              counters + latency histograms, Prometheus text
+//	GET  /metricsz              every Stats() counter + latency histograms, Prometheus text
 //
 // With a study store attached (Options.Store), the studies API mounts:
 //
@@ -41,16 +40,19 @@ const maxRequestBytes = 4 << 20
 //
 //	GET  /v1/sloz               objectives, error budgets, burn-rate alerts
 //
-// With a monitor attached (AttachMonitor), three more routes mount:
-//
-//	GET  /v1/alertz             fleet alerts (pending/firing/resolved), JSON
-//	GET  /v1/traceview          assembled fleet traces: critical paths, RED, search
-//	GET  /debug/dashboard       self-contained HTML fleet dashboard
-//
-// Every route runs under the observe middleware: a server span per
-// request (stitched into the caller's trace via X-Trace-Id), the
-// per-endpoint latency histogram, and one structured access line.
-func (s *Server) Handler() http.Handler {
+// Routes added with Handle (powerperfd mounts the fleet monitor's
+// /v1/alertz, /v1/traceview and /debug/dashboard this way) join the
+// same mux. Every route runs under the observe middleware: a server
+// span per request (stitched into the caller's trace via X-Trace-Id),
+// the per-endpoint latency histogram, and one structured access line.
+func (s *Server) Handler() http.Handler { return s.observe(s.mux) }
+
+// Handle mounts an extra route on the daemon's mux, under the same
+// observe middleware as the API routes.
+func (s *Server) Handle(pattern string, h http.Handler) { s.mux.Handle(pattern, h) }
+
+// routes builds the API mux for the server's configuration.
+func (s *Server) routes() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/measure", s.handleMeasure)
 	mux.HandleFunc("GET /v1/experiments", s.handleExperimentIndex)
@@ -61,7 +63,6 @@ func (s *Server) Handler() http.Handler {
 		mux.HandleFunc("GET /v1/sloz", s.handleSloz)
 	}
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /statsz", s.handleStatsz)
 	mux.HandleFunc("GET /metricsz", s.handleMetricsz)
 	if s.opts.Store != nil {
 		mux.HandleFunc("GET /v1/studies", s.handleStudiesIndex)
@@ -70,13 +71,7 @@ func (s *Server) Handler() http.Handler {
 		mux.HandleFunc("GET /v1/studies/export", s.handleStudyExport)
 		mux.HandleFunc("GET /v1/studies/trend", s.handleStudyTrend)
 	}
-	if s.mon != nil {
-		// Attached via AttachMonitor: the daemon's own fleet view.
-		mux.Handle("GET /v1/alertz", s.mon.AlertzHandler())
-		mux.Handle("GET /v1/traceview", s.mon.TraceviewHandler())
-		mux.Handle("GET /debug/dashboard", s.mon.DashboardHandler())
-	}
-	return s.observe(mux)
+	return mux
 }
 
 // writeJSON renders v with a fixed encoder configuration so equivalent
@@ -436,8 +431,4 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, struct {
 		Status string `json:"status"`
 	}{"ok"})
-}
-
-func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Stats())
 }

@@ -13,7 +13,9 @@ import (
 // handleMetricsz renders the server counters in the Prometheus text
 // exposition format, so cluster tests and fleet operators can scrape
 // backend load with stock tooling. Families are emitted in a fixed
-// order; everything here is also in /statsz as JSON.
+// order. It is the only wire rendering of Stats(): every field appears
+// here, the seed as a label so any int64 survives exactly, and the
+// store block only when a store is attached.
 func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 	st := s.Stats()
 	var b strings.Builder
@@ -32,8 +34,11 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 	bi := telemetry.BuildInfo()
 	name := "powerperf_build_info"
 	fmt.Fprintf(&b, "# HELP %s Build identity of this process; the value is always 1.\n# TYPE %s gauge\n", name, name)
-	fmt.Fprintf(&b, "%s{version=%s,commit=%s,go=%s} 1\n",
-		name, telemetry.PromQuote(bi.Version), telemetry.PromQuote(bi.Commit), telemetry.PromQuote(bi.GoVersion))
+	fmt.Fprintf(&b, "%s{version=%s,commit=%s,go=%s,modified=\"%t\"} 1\n",
+		name, telemetry.PromQuote(bi.Version), telemetry.PromQuote(bi.Commit), telemetry.PromQuote(bi.GoVersion), bi.Modified)
+	name = "powerperfd_info"
+	fmt.Fprintf(&b, "# HELP %s Daemon identity; the value is always 1.\n# TYPE %s gauge\n", name, name)
+	fmt.Fprintf(&b, "%s{seed=\"%d\"} 1\n", name, st.Seed)
 
 	gauge("powerperfd_uptime_seconds", "Seconds since the daemon started.", st.UptimeS)
 	draining := 0.0
@@ -56,6 +61,10 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 	}
 
 	gauge("powerperfd_queue_depth", "Measurement tasks queued, not yet executing.", float64(st.Queue.Depth))
+	name = "powerperfd_queue_lane_depth"
+	fmt.Fprintf(&b, "# HELP %s Measurement tasks queued per priority lane.\n# TYPE %s gauge\n", name, name)
+	fmt.Fprintf(&b, "%s{lane=\"interactive\"} %d\n", name, st.Queue.InteractiveDepth)
+	fmt.Fprintf(&b, "%s{lane=\"bulk\"} %d\n", name, st.Queue.BulkDepth)
 	gauge("powerperfd_queue_capacity", "Bounded measurement queue capacity.", float64(st.Queue.Capacity))
 	gauge("powerperfd_inflight_workers", "Measurement closures currently executing.", float64(st.Queue.Inflight))
 	gauge("powerperfd_workers", "Measurement worker count.", float64(st.Queue.Workers))
@@ -65,6 +74,19 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(&b, "%s{endpoint=\"measure\"} %d\n", name, st.Requests.Measure)
 	fmt.Fprintf(&b, "%s{endpoint=\"experiments\"} %d\n", name, st.Requests.Experiments)
 	fmt.Fprintf(&b, "%s{endpoint=\"dataset\"} %d\n", name, st.Requests.Dataset)
+	fmt.Fprintf(&b, "%s{endpoint=\"studies\"} %d\n", name, st.Requests.Studies)
+	counter("powerperfd_measure_streams_total", "Measure requests served over chunked NDJSON (a subset of endpoint=\"measure\").", st.Requests.MeasureStreams)
+
+	if ss := st.Store; ss != nil {
+		gauge("powerperfd_store_segments", "Sealed segments in the study store.", float64(ss.Segments))
+		gauge("powerperfd_store_rows", "Rows held by the study store.", float64(ss.Rows))
+		gauge("powerperfd_store_bytes", "Bytes held by the study store.", float64(ss.Bytes))
+		gauge("powerperfd_store_last_seal_unix", "Unix time of the newest segment seal.", float64(ss.LastSealUnix))
+		counter("powerperfd_store_recorded_studies_total", "Studies sealed into the store by this process.", ss.Recorded)
+		counter("powerperfd_store_recorded_rows_total", "Rows sealed into the store by this process.", ss.RecordedRows)
+		counter("powerperfd_store_dropped_studies_total", "Studies dropped because the ingest queue was full.", ss.Dropped)
+		counter("powerperfd_store_write_errors_total", "Study appends or syncs that failed.", ss.WriteErrors)
+	}
 
 	// Latency distributions: every histogram family in the process-global
 	// registry (cell fills, harness batches/cells, HTTP request times,

@@ -248,7 +248,7 @@ func TestEndpointFamilyBounded(t *testing.T) {
 		"/v1/dataset":                  "dataset",
 		"/v1/traces":                   "traces",
 		"/healthz":                     "healthz",
-		"/statsz":                      "statsz",
+		"/statsz":                      "other",
 		"/metricsz":                    "metricsz",
 		"/anything/else":               "other",
 		"/" + strings.Repeat("x", 512): "other",

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"net/http"
 	"runtime"
 	"strconv"
 	"sync"
@@ -14,7 +15,6 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/harness"
-	"repro/internal/monitor"
 	"repro/internal/proc"
 	"repro/internal/slo"
 	"repro/internal/store"
@@ -62,7 +62,7 @@ type Options struct {
 	Store *store.Store
 	// SLO, when non-nil, attaches the service-level-objective engine:
 	// the observe middleware feeds the stock objectives (see
-	// DefaultSLOConfig), burn-rate alerts walk the monitor's detector
+	// DefaultSLOConfig), burn-rate alerts walk the alert detector's
 	// lifecycle, /v1/sloz mounts, and slo_* gauges join /metricsz. A
 	// durability objective with no Source is bound to the study-ingest
 	// counters automatically when a store is attached.
@@ -141,9 +141,8 @@ type Server struct {
 	// is attached.
 	ingest *studyIngest
 
-	// mon, when attached, contributes /v1/alertz and /debug/dashboard to
-	// the handler — the daemon's own view of the fleet it belongs to.
-	mon *monitor.Monitor
+	// mux holds the API routes plus any mounted with Handle.
+	mux *http.ServeMux
 
 	// sloEng, when attached, is fed by the observe middleware and served
 	// at /v1/sloz; nil when Options.SLO was not set.
@@ -197,14 +196,9 @@ func NewServer(opts Options) *Server {
 			s.sloEng = eng
 		}
 	}
+	s.mux = s.routes()
 	return s
 }
-
-// AttachMonitor hands the server a fleet monitor; the next Handler()
-// call mounts GET /v1/alertz (the alert list, JSON) and
-// GET /debug/dashboard (the self-contained HTML fleet view). Attach
-// before building the handler.
-func (s *Server) AttachMonitor(m *monitor.Monitor) { s.mon = m }
 
 // Tracer exposes the server's span recorder (tests inspect it; the
 // /v1/traces endpoint serves it).
@@ -314,41 +308,43 @@ func (s *Server) experimentsContext() (*experiments.Context, error) {
 	return s.expCtx, s.expErr
 }
 
-// Stats is the /statsz payload.
+// Stats is the server's counter snapshot, read in-process through
+// Server.Stats; /metricsz is its only wire form and renders every
+// field of it.
 type Stats struct {
-	Seed     int64           `json:"seed"`
-	UptimeS  float64         `json:"uptime_s"`
-	Build    telemetry.Build `json:"build"`
-	Draining bool            `json:"draining"`
-	Cache    CacheStats      `json:"cache"`
-	HitRate  float64         `json:"cache_hit_rate"`
-	Queue    QueueStats      `json:"queue"`
-	Requests ReqStats        `json:"requests"`
-	// Store reports the persistent study store; omitted when the daemon
-	// runs without one.
-	Store *StoreStats `json:"store,omitempty"`
+	Seed     int64
+	UptimeS  float64
+	Build    telemetry.Build
+	Draining bool
+	Cache    CacheStats
+	HitRate  float64
+	Queue    QueueStats
+	Requests ReqStats
+	// Store reports the persistent study store; nil (and absent from
+	// /metricsz) when the daemon runs without one.
+	Store *StoreStats
 }
 
 // QueueStats reports worker-pool pressure, split by priority lane so an
 // operator can see bulk study traffic queueing behind interactive work
 // (never the reverse — interactive preempts at dequeue).
 type QueueStats struct {
-	Depth            int   `json:"depth"`
-	InteractiveDepth int   `json:"interactive_depth"`
-	BulkDepth        int   `json:"bulk_depth"`
-	Capacity         int   `json:"capacity"`
-	Inflight         int64 `json:"inflight_workers"`
-	Workers          int   `json:"workers"`
+	Depth            int
+	InteractiveDepth int
+	BulkDepth        int
+	Capacity         int
+	Inflight         int64
+	Workers          int
 }
 
 // ReqStats counts requests per endpoint family. MeasureStreams counts
 // the subset of measure requests served over chunked NDJSON.
 type ReqStats struct {
-	Measure        int64 `json:"measure"`
-	MeasureStreams int64 `json:"measure_streams"`
-	Experiments    int64 `json:"experiments"`
-	Dataset        int64 `json:"dataset"`
-	Studies        int64 `json:"studies"`
+	Measure        int64
+	MeasureStreams int64
+	Experiments    int64
+	Dataset        int64
+	Studies        int64
 }
 
 // Stats snapshots the server counters.

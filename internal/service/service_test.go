@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -16,6 +17,7 @@ import (
 
 	"repro/internal/harness"
 	"repro/internal/proc"
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -65,17 +67,25 @@ func get(t *testing.T, url string) (int, []byte) {
 	return resp.StatusCode, b
 }
 
-func statsOf(t *testing.T, url string) Stats {
+// metricszSamples scrapes /metricsz and indexes every sample by its
+// exposition key.
+func metricszSamples(t *testing.T, url string) map[string]telemetry.MetricPoint {
 	t.Helper()
-	code, b := get(t, url+"/statsz")
+	code, b := get(t, url+"/metricsz")
 	if code != http.StatusOK {
-		t.Fatalf("statsz: %d %s", code, b)
+		t.Fatalf("metricsz: %d %s", code, b)
 	}
-	var st Stats
-	if err := json.Unmarshal(b, &st); err != nil {
+	fams, err := telemetry.ParsePrometheus(string(b))
+	if err != nil {
 		t.Fatal(err)
 	}
-	return st
+	out := map[string]telemetry.MetricPoint{}
+	for _, f := range fams {
+		for _, p := range f.Samples {
+			out[p.Key()] = p
+		}
+	}
+	return out
 }
 
 const twoCellBody = `{"cells":[
@@ -85,7 +95,7 @@ const twoCellBody = `{"cells":[
 
 // TestMeasureRepeatServedFromCache pins the acceptance criterion: a
 // repeated POST /v1/measure for the same cells is served from cache (no
-// recomputation, observed via the statsz miss counter) and is
+// recomputation, observed via the Stats miss counter) and is
 // byte-identical to the first response.
 func TestMeasureRepeatServedFromCache(t *testing.T) {
 	srv := NewServer(Options{Seed: 42, Workers: 4})
@@ -97,7 +107,7 @@ func TestMeasureRepeatServedFromCache(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("first POST: %d %s", code, first)
 	}
-	st1 := statsOf(t, ts.URL)
+	st1 := srv.Stats()
 	if st1.Cache.Misses != 2 || st1.Cache.Hits != 0 {
 		t.Fatalf("after first POST: %+v", st1.Cache)
 	}
@@ -109,7 +119,7 @@ func TestMeasureRepeatServedFromCache(t *testing.T) {
 	if !bytes.Equal(first, second) {
 		t.Fatalf("repeat response differs:\n%s\nvs\n%s", first, second)
 	}
-	st2 := statsOf(t, ts.URL)
+	st2 := srv.Stats()
 	if st2.Cache.Misses != 2 {
 		t.Fatalf("repeat recomputed: misses %d -> %d", st1.Cache.Misses, st2.Cache.Misses)
 	}
@@ -189,7 +199,7 @@ func TestMeasureMatchesHarness(t *testing.T) {
 // TestConcurrentLoadOverlappingKeys is the race-lane acceptance test: 32
 // goroutines hammer one daemon with overlapping keys; every identical
 // request must observe a byte-identical body, the singleflight path must
-// coalesce concurrent fills, and /statsz must report a positive hit rate
+// coalesce concurrent fills, and Stats must report a positive hit rate
 // afterwards.
 func TestConcurrentLoadOverlappingKeys(t *testing.T) {
 	srv := NewServer(Options{Seed: 42, Workers: 8})
@@ -264,7 +274,7 @@ func TestConcurrentLoadOverlappingKeys(t *testing.T) {
 		}
 	}
 
-	st := statsOf(t, ts.URL)
+	st := srv.Stats()
 	if st.HitRate <= 0 {
 		t.Fatalf("hit rate %v after concurrent load, want > 0", st.HitRate)
 	}
@@ -418,10 +428,9 @@ func TestHealthzAndDrain(t *testing.T) {
 	if code, _ := get(t, ts.URL+"/v1/dataset"); code != http.StatusServiceUnavailable {
 		t.Fatalf("dataset while draining: %d, want 503", code)
 	}
-	// statsz stays observable for post-mortem.
-	st := statsOf(t, ts.URL)
-	if !st.Draining {
-		t.Fatal("statsz does not report draining")
+	// metricsz stays observable for post-mortem.
+	if p := metricszSamples(t, ts.URL)["powerperfd_draining"]; p.Value != 1 {
+		t.Fatalf("metricsz reports draining %v, want 1", p.Value)
 	}
 }
 
@@ -488,7 +497,7 @@ func TestMeasureFullDetail(t *testing.T) {
 // TestMetricsz verifies the Prometheus exposition endpoint serves the
 // cache, shard, queue, and request families with parseable lines.
 func TestMetricsz(t *testing.T) {
-	_, ts := testServer(t)
+	srv, ts := testServer(t)
 	// Ensure at least one measured cell so counters are nonzero.
 	if code, b := postMeasure(t, ts.URL, `{"cells":[{"benchmark":"mcf","processor":"i7 (45)"}]}`); code != http.StatusOK {
 		t.Fatalf("measure: %d %s", code, b)
@@ -513,16 +522,128 @@ func TestMetricsz(t *testing.T) {
 			t.Errorf("metricsz missing %s", family)
 		}
 	}
-	// Spot-check a value: the shard entries must sum to the statsz
+	// Spot-check a value: the shard entries must sum to the Stats
 	// entry count.
-	st := statsOf(t, ts.URL)
+	st := srv.Stats()
 	sum := 0
 	for _, n := range st.Cache.Shards {
 		sum += n
 	}
 	if len(st.Cache.Shards) != 16 || sum != st.Cache.Entries {
-		t.Errorf("statsz shard occupancy %v (sum %d) inconsistent with %d entries",
+		t.Errorf("Stats shard occupancy %v (sum %d) inconsistent with %d entries",
 			st.Cache.Shards, sum, st.Cache.Entries)
+	}
+}
+
+// TestMetricszCarriesEveryStatsField pins /metricsz as the only wire
+// rendering of Stats(): on a store-backed daemon with SLO tracking on,
+// every numeric field reads back exactly from the parsed page — the
+// seed too, above 2^53 where a float gauge would round it — and a
+// storeless daemon renders no store family at all.
+func TestMetricszCarriesEveryStatsField(t *testing.T) {
+	const seed = 1<<62 + 1
+	srv, ts, _ := storeServer(t, Options{Seed: seed, Workers: 2, SLO: DefaultSLOConfig()})
+	cell := `{"cells":[{"benchmark":"mcf","processor":"i7 (45)"}]}`
+	for i := 0; i < 2; i++ {
+		if code, b := postMeasure(t, ts.URL, cell); code != http.StatusOK {
+			t.Fatalf("measure: %d %s", code, b)
+		}
+	}
+	resp, err := http.Post(ts.URL+"/v1/measure?stream=1", "application/json", strings.NewReader(cell))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _ = io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	for _, path := range []string{"/v1/experiments", "/v1/dataset?table=bogus", "/v1/studies"} {
+		get(t, ts.URL+path)
+	}
+	waitRecorded(t, srv, 3)
+
+	st := srv.Stats()
+	got := metricszSamples(t, ts.URL)
+	var info *telemetry.MetricPoint
+	for k, p := range got {
+		if strings.HasPrefix(k, "powerperfd_info{") {
+			info = &p
+		}
+	}
+	if info == nil {
+		t.Fatal("metricsz has no powerperfd_info sample")
+	}
+	if v, _ := info.Label("seed"); v != strconv.FormatInt(st.Seed, 10) || st.Seed != seed {
+		t.Errorf("powerperfd_info seed=%q, Stats seed %d, want %d", v, st.Seed, int64(seed))
+	}
+	var build *telemetry.MetricPoint
+	for k, p := range got {
+		if strings.HasPrefix(k, "powerperf_build_info{") {
+			build = &p
+		}
+	}
+	if build == nil {
+		t.Fatal("metricsz has no powerperf_build_info sample")
+	}
+	for key, want := range map[string]string{
+		"version": st.Build.Version, "commit": st.Build.Commit,
+		"go": st.Build.GoVersion, "modified": strconv.FormatBool(st.Build.Modified),
+	} {
+		if v, _ := build.Label(key); v != want {
+			t.Errorf("powerperf_build_info %s=%q, want %q", key, v, want)
+		}
+	}
+	if up := got["powerperfd_uptime_seconds"].Value; up < st.UptimeS || up > st.UptimeS+60 {
+		t.Errorf("uptime %v, Stats %v", up, st.UptimeS)
+	}
+
+	ss := st.Store
+	if ss == nil || ss.Recorded < 3 || st.Requests.MeasureStreams != 1 || st.Requests.Studies != 1 {
+		t.Fatalf("workload did not reach every counter: %+v store %+v", st.Requests, ss)
+	}
+	want := map[string]int64{
+		"powerperfd_draining":                               0,
+		"powerperfd_cache_hits_total":                       st.Cache.Hits,
+		"powerperfd_cache_misses_total":                     st.Cache.Misses,
+		"powerperfd_cache_coalesced_total":                  st.Cache.Coalesced,
+		"powerperfd_cache_evictions_total":                  st.Cache.Evictions,
+		"powerperfd_cache_entries":                          int64(st.Cache.Entries),
+		"powerperfd_cache_capacity":                         int64(st.Cache.Capacity),
+		"powerperfd_queue_depth":                            int64(st.Queue.Depth),
+		`powerperfd_queue_lane_depth{lane="interactive"}`:   int64(st.Queue.InteractiveDepth),
+		`powerperfd_queue_lane_depth{lane="bulk"}`:          int64(st.Queue.BulkDepth),
+		"powerperfd_queue_capacity":                         int64(st.Queue.Capacity),
+		"powerperfd_inflight_workers":                       st.Queue.Inflight,
+		"powerperfd_workers":                                int64(st.Queue.Workers),
+		`powerperfd_requests_total{endpoint="measure"}`:     st.Requests.Measure,
+		`powerperfd_requests_total{endpoint="experiments"}`: st.Requests.Experiments,
+		`powerperfd_requests_total{endpoint="dataset"}`:     st.Requests.Dataset,
+		`powerperfd_requests_total{endpoint="studies"}`:     st.Requests.Studies,
+		"powerperfd_measure_streams_total":                  st.Requests.MeasureStreams,
+		"powerperfd_store_segments":                         ss.Segments,
+		"powerperfd_store_rows":                             ss.Rows,
+		"powerperfd_store_bytes":                            ss.Bytes,
+		"powerperfd_store_last_seal_unix":                   ss.LastSealUnix,
+		"powerperfd_store_recorded_studies_total":           ss.Recorded,
+		"powerperfd_store_recorded_rows_total":              ss.RecordedRows,
+		"powerperfd_store_dropped_studies_total":            ss.Dropped,
+		"powerperfd_store_write_errors_total":               ss.WriteErrors,
+	}
+	for key, w := range want {
+		p, ok := got[key]
+		if !ok {
+			t.Errorf("metricsz missing %s", key)
+		} else if p.Value != float64(w) {
+			t.Errorf("%s = %v, Stats says %d", key, p.Value, w)
+		}
+	}
+	if _, ok := got[`slo_error_budget_remaining{objective="availability"}`]; !ok {
+		t.Error("SLO gauges missing from a daemon with SLO tracking on")
+	}
+
+	_, plain := testServer(t)
+	for key := range metricszSamples(t, plain.URL) {
+		if strings.HasPrefix(key, "powerperfd_store_") {
+			t.Errorf("storeless daemon renders %s", key)
+		}
 	}
 }
 

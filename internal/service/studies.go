@@ -212,17 +212,18 @@ func (r *studyRecorder) release() {
 	r.ing.pending.Done()
 }
 
-// StoreStats is the /statsz store block: segment inventory from the
-// store plus ingest-path counters.
+// StoreStats is the Stats store block (the powerperfd_store_* families
+// on /metricsz): segment inventory from the store plus ingest-path
+// counters.
 type StoreStats struct {
-	Segments     int64 `json:"segments"`
-	Rows         int64 `json:"rows"`
-	Bytes        int64 `json:"bytes"`
-	LastSealUnix int64 `json:"last_seal_unix"`
-	Recorded     int64 `json:"recorded_studies"`
-	RecordedRows int64 `json:"recorded_rows"`
-	Dropped      int64 `json:"dropped_studies"`
-	WriteErrors  int64 `json:"write_errors"`
+	Segments     int64
+	Rows         int64
+	Bytes        int64
+	LastSealUnix int64
+	Recorded     int64
+	RecordedRows int64
+	Dropped      int64
+	WriteErrors  int64
 }
 
 func (ing *studyIngest) stats() *StoreStats {

@@ -2,7 +2,7 @@
 // objectives (latency, availability, ingest durability) over the
 // event streams the serving path already produces, tracks each
 // objective's rolling error budget, and fires multi-window burn-rate
-// alerts through the monitor's detector state machine.
+// alerts through the alert package's detector state machine.
 //
 // The mechanics follow the SRE-workbook recipe. An objective with
 // target T has an error budget of 1-T; the burn rate over a window is
@@ -31,7 +31,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/monitor"
+	"repro/internal/alert"
 	"repro/internal/telemetry"
 )
 
@@ -194,7 +194,7 @@ type Engine struct {
 	objs   []*objective
 	byName map[string]*objective
 	names  []string
-	det    *monitor.PushDetector
+	det    *alert.Detector
 
 	mu       sync.Mutex
 	lastTick time.Time
@@ -232,21 +232,21 @@ func New(cfg Config) (*Engine, error) {
 		e.byName[o.Name] = obj
 		e.names = append(e.names, o.Name)
 	}
-	rules := []monitor.Rule{
+	rules := []alert.Rule{
 		{
-			Name: RuleFastBurn, Series: SeriesFastBurn, Kind: monitor.KindThreshold,
-			Cmp: monitor.Above, Value: cfg.FastBurn, For: cfg.For, Clear: cfg.Clear,
+			Name: RuleFastBurn, Series: SeriesFastBurn, Kind: alert.KindThreshold,
+			Cmp: alert.Above, Value: cfg.FastBurn, For: cfg.For, Clear: cfg.Clear,
 			Help: fmt.Sprintf("Error-budget burn over both the %v and %v windows exceeds %.3g — the page-now pace.",
 				cfg.FastShort, cfg.FastLong, cfg.FastBurn),
 		},
 		{
-			Name: RuleSlowBurn, Series: SeriesSlowBurn, Kind: monitor.KindThreshold,
-			Cmp: monitor.Above, Value: cfg.SlowBurn, For: cfg.For, Clear: cfg.Clear,
+			Name: RuleSlowBurn, Series: SeriesSlowBurn, Kind: alert.KindThreshold,
+			Cmp: alert.Above, Value: cfg.SlowBurn, For: cfg.For, Clear: cfg.Clear,
 			Help: fmt.Sprintf("Error-budget burn over both the %v and %v windows exceeds %.3g — spending faster than the budget period allows.",
 				cfg.SlowShort, cfg.SlowLong, cfg.SlowBurn),
 		},
 	}
-	e.det = monitor.NewPushDetector("slo", rules, 512, 0)
+	e.det = alert.NewDetector(rules, 512, 64, 0, telemetry.Logger("slo"))
 	return e, nil
 }
 
@@ -254,7 +254,7 @@ func New(cfg Config) (*Engine, error) {
 func (e *Engine) Names() []string { return append([]string(nil), e.names...) }
 
 // Rules returns the burn-rate rules (defaults applied).
-func (e *Engine) Rules() []monitor.Rule { return e.det.Rules() }
+func (e *Engine) Rules() []alert.Rule { return e.det.Rules() }
 
 // Observe records one event against an objective: two atomic adds, hot
 // path safe. Unknown objectives are ignored (a nil-engine-like no-op
@@ -393,7 +393,7 @@ func (e *Engine) tickLocked(t time.Time) {
 func (e *Engine) releasePinsLocked() {
 	active := make(map[string]bool, len(e.names))
 	for _, a := range e.det.Alerts() {
-		if a.State == monitor.StatePending || a.State == monitor.StateFiring {
+		if a.State == alert.StatePending || a.State == alert.StateFiring {
 			active[a.Backend] = true
 		}
 	}
@@ -524,7 +524,7 @@ type ObjectiveStatus struct {
 // AlertStatus is a detector alert annotated with the objective's
 // breach exemplars, so a firing page carries resolvable trace ids.
 type AlertStatus struct {
-	monitor.Alert
+	alert.Alert
 	Exemplars []BreachExemplar `json:"exemplars,omitempty"`
 }
 
@@ -545,12 +545,9 @@ func (e *Engine) Snapshot(now time.Time) Snapshot {
 
 	alerts := e.det.Alerts()
 	stateFor := func(name string) string {
-		worst := monitor.StateInactive
+		worst := alert.StateInactive
 		for _, a := range alerts {
-			if a.Backend != name {
-				continue
-			}
-			if rank(a.State) > rank(worst) {
+			if a.Backend == name && a.State.Severity() > worst.Severity() {
 				worst = a.State
 			}
 		}
@@ -619,20 +616,8 @@ func (e *Engine) Snapshot(now time.Time) Snapshot {
 	return snap
 }
 
-func rank(s monitor.AlertState) int {
-	switch s {
-	case monitor.StateFiring:
-		return 3
-	case monitor.StatePending:
-		return 2
-	case monitor.StateResolved:
-		return 1
-	}
-	return 0
-}
-
 // Alerts returns the detector's live alerts (firing first).
-func (e *Engine) Alerts() []monitor.Alert { return e.det.Alerts() }
+func (e *Engine) Alerts() []alert.Alert { return e.det.Alerts() }
 
 // WriteMetrics renders the engine's state as Prometheus gauges for
 // /metricsz, which is how the fleet monitor federates SLO state onto
@@ -665,7 +650,7 @@ func (e *Engine) WriteMetrics(w io.Writer, now time.Time) {
 			state := 0
 			for _, a := range alerts {
 				if a.Backend == o.Name && a.Rule == rule {
-					state = rank(a.State)
+					state = a.State.Severity()
 				}
 			}
 			fmt.Fprintf(&b, "slo_alert_state{objective=%s,rule=%q} %d\n",

@@ -7,7 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/monitor"
+	"repro/internal/alert"
 	"repro/internal/telemetry"
 )
 
@@ -44,13 +44,13 @@ func latencyObjective() Objective {
 	}
 }
 
-func findAlert(alerts []monitor.Alert, target, rule string) (monitor.Alert, bool) {
+func findAlert(alerts []alert.Alert, target, rule string) (alert.Alert, bool) {
 	for _, a := range alerts {
 		if a.Backend == target && a.Rule == rule {
 			return a, true
 		}
 	}
-	return monitor.Alert{}, false
+	return alert.Alert{}, false
 }
 
 func TestConfigValidation(t *testing.T) {
@@ -107,9 +107,9 @@ func TestBurnRateLifecycle(t *testing.T) {
 		e.Advance(clk.t)
 		if a, ok := findAlert(e.Alerts(), "measure-latency", RuleFastBurn); ok {
 			switch a.State {
-			case monitor.StatePending:
+			case alert.StatePending:
 				pendingSeen = true
-			case monitor.StateFiring:
+			case alert.StateFiring:
 				firingSeen = true
 			}
 		}
@@ -148,7 +148,7 @@ func TestBurnRateLifecycle(t *testing.T) {
 			firing = &snap.Alerts[i]
 		}
 	}
-	if firing == nil || firing.State != monitor.StateFiring {
+	if firing == nil || firing.State != alert.StateFiring {
 		t.Fatalf("fast burn alert missing from snapshot: %+v", snap.Alerts)
 	}
 	if len(firing.Exemplars) == 0 {
@@ -164,7 +164,7 @@ func TestBurnRateLifecycle(t *testing.T) {
 		}
 		clk.step(time.Second)
 		e.Advance(clk.t)
-		if a, ok := findAlert(e.Alerts(), "measure-latency", RuleFastBurn); ok && a.State == monitor.StateResolved {
+		if a, ok := findAlert(e.Alerts(), "measure-latency", RuleFastBurn); ok && a.State == alert.StateResolved {
 			resolved = true
 		}
 	}
@@ -199,7 +199,7 @@ func TestAvailabilityAndBreachRecording(t *testing.T) {
 		t.Fatalf("10%% errors at target 0.95: fast-short burn = %v", obj.Burn.FastShort)
 	}
 	// Slow pair threshold is 1: burn 2 > 1 should walk the slow rule up.
-	if a, ok := findAlert(e.Alerts(), "availability", RuleSlowBurn); !ok || a.State == monitor.StateInactive {
+	if a, ok := findAlert(e.Alerts(), "availability", RuleSlowBurn); !ok || a.State == alert.StateInactive {
 		t.Fatalf("slow burn rule idle despite burn 2: %+v", e.Alerts())
 	}
 	if len(obj.Exemplars) == 0 {
@@ -396,7 +396,7 @@ func TestExemplarPinLifecycle(t *testing.T) {
 		}
 		clk.step(time.Second)
 		e.Advance(clk.t)
-		if a, ok := findAlert(e.Alerts(), "measure-latency", RuleFastBurn); ok && a.State == monitor.StateFiring {
+		if a, ok := findAlert(e.Alerts(), "measure-latency", RuleFastBurn); ok && a.State == alert.StateFiring {
 			fired = true
 		}
 	}
@@ -423,7 +423,7 @@ func TestExemplarPinLifecycle(t *testing.T) {
 		e.Advance(clk.t)
 		quiet = true
 		for _, a := range e.Alerts() {
-			if a.Backend == "measure-latency" && (a.State == monitor.StatePending || a.State == monitor.StateFiring) {
+			if a.Backend == "measure-latency" && (a.State == alert.StatePending || a.State == alert.StateFiring) {
 				quiet = false
 			}
 		}

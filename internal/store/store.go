@@ -127,8 +127,8 @@ type Meta struct {
 // SealedTime returns the seal timestamp.
 func (m Meta) SealedTime() time.Time { return time.Unix(0, m.Sealed) }
 
-// Stats is the store's operational summary, surfaced on /statsz and the
-// monitor dashboard.
+// Stats is the store's operational summary, surfaced on /metricsz and
+// the monitor dashboard.
 type Stats struct {
 	Segments      int64 `json:"segments"`
 	Rows          int64 `json:"rows"`

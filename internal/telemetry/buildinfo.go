@@ -8,8 +8,9 @@ import (
 )
 
 // Build identifies the running binary: module version, VCS commit, and
-// the Go toolchain. It is stamped onto /metricsz (powerperf_build_info),
-// /statsz, and the User-Agent of every coordinator and monitor request,
+// the Go toolchain. It is stamped onto /metricsz (powerperf_build_info,
+// whose labels the fleet monitor reads back) and the User-Agent of
+// every coordinator and monitor request,
 // so a fleet operator can see at a glance which build each process runs
 // — the observability sibling of the paper's insistence on reporting
 // the exact measurement rig.
